@@ -1,4 +1,4 @@
-// Experiment E9 — ablations of the design choices DESIGN.md calls out.
+// Experiment E9 — ablations of the paper's two ordering rules.
 //
 // (i)  single-nod bundle order: Algorithm 2 absorbs the *smallest* pending
 //      bundles at an overflowing node (that ordering is what the Theorem 4

@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   if (const std::string csv = cli.GetString("csv"); !csv.empty()) greedy_table.WriteCsvFile(csv);
   std::cout << "\nNoD rows match the optimum everywhere — but the distance-constrained rows in\n"
                "(a) fall short of 1.000: Algorithm 3 as specified in RR-7750 is not optimal\n"
-               "once dmax binds (see EXPERIMENTS.md E6 and the pinned 13-node counterexample).\n"
+               "once dmax binds (see docs/EXPERIMENTS.md E6 and the pinned 13-node counterexample).\n"
                "The added flow-based pruning pass repairs nearly every deviation.\n";
   return report.AllOk() ? 0 : 1;
 }

@@ -75,7 +75,7 @@ bool IsOptimal(Algorithm algorithm) {
   switch (algorithm) {
     // Note: the paper's Theorem 6 claims multiple-bin is optimal on all
     // Multiple-Bin instances. Our reproduction found distance-constrained
-    // counterexamples (EXPERIMENTS.md, E6), so the flag is honest: the
+    // counterexamples (docs/EXPERIMENTS.md, E6), so the flag is honest: the
     // guarantee we could verify holds only without distance constraints,
     // and kMultipleBin is therefore not flagged unconditionally optimal.
     case Algorithm::kMultipleNodDp:

@@ -23,7 +23,7 @@ enum class Algorithm : std::uint8_t {
   kGreedyBestFit,   ///< greedy Single baseline
   kSinglePushRoot,  ///< push-toward-root strategy from the paper's conclusion
   kMultipleBin,        ///< Algorithm 3: Multiple, binary, r_i <= W (optimal on NoD;
-                       ///< see EXPERIMENTS.md E6 for the distance-constrained gap)
+                       ///< see docs/EXPERIMENTS.md E6 for the distance-constrained gap)
   kMultipleBinPruned,  ///< Algorithm 3 followed by flow-based replica pruning
   kMultipleGreedy,      ///< greedy Multiple baseline with splitting
   kMultipleLocalSearch, ///< construction + pruning + relocation local search

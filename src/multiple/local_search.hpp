@@ -1,6 +1,6 @@
 // Local search for the Multiple policy with distance constraints — this
 // library's extension beyond the paper, motivated by the Theorem 6 finding
-// (see EXPERIMENTS.md E6): Algorithm 3 can strand one extra replica when
+// (see docs/EXPERIMENTS.md E6): Algorithm 3 can strand one extra replica when
 // dmax binds, and the paper's conclusion lists approximation algorithms for
 // the general Multiple problem as future work.
 //

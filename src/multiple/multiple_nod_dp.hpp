@@ -3,12 +3,12 @@
 //
 // The paper cites [3] (Benoit, Rehn-Sonigo, Robert, TPDS 2008) for a
 // polynomial-time optimal Multiple-NoD algorithm. We substitute an
-// equivalent-result pseudo-polynomial DP (documented in DESIGN.md): for each
-// node j and each forwarded amount u, F_j(u) = minimum number of replicas in
-// subtree(j) such that at most u requests are forwarded above j. Since
-// requests are integers and the DP domain is bounded by the subtree request
-// totals, the classic tree-knapsack bound makes the whole run O(|T| + U^2)
-// with U the total number of requests. The optimum is F_root(0).
+// equivalent-result pseudo-polynomial DP: for each node j and each forwarded
+// amount u, F_j(u) = minimum number of replicas in subtree(j) such that at
+// most u requests are forwarded above j. Since requests are integers and the
+// DP domain is bounded by the subtree request totals, the classic
+// tree-knapsack bound makes the whole run O(|T| + U^2) with U the total
+// number of requests. The optimum is F_root(0).
 //
 // Unlike multiple-bin, this solver allows r_i > W (a client may split its
 // own requests between itself and ancestors), works for any arity, and is

@@ -1,7 +1,7 @@
 // Flow-based replica pruning — a repair pass this reproduction adds on top
 // of the paper's Algorithm 3.
 //
-// Background (see EXPERIMENTS.md, E6): our reproduction found that
+// Background (see docs/EXPERIMENTS.md, E6): our reproduction found that
 // Algorithm 3 as specified in RR-7750 is *not* always optimal once distance
 // constraints bind — a capacity trigger can pin requests below a node even
 // though an optimal solution lets them travel past it (a 13-node

@@ -14,131 +14,71 @@
 
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 #include "tree/serialize.hpp"
 
 namespace rpt::serve {
 namespace {
 
 namespace fs = std::filesystem;
+namespace wire = support::wire;
 using incremental::UpdateEvent;
 
 constexpr char kWalMagic[8] = {'R', 'P', 'T', 'W', 'A', 'L', '1', '\0'};
 constexpr std::size_t kWalMagicBytes = sizeof(kWalMagic);
-constexpr std::size_t kRecordHeaderBytes = 8;  // len u32 + crc u32
+// Smallest encodings of one event (no spec nodes) and one spec node.
+constexpr std::size_t kEventBytes = 1 + 4 + 8 + 8 + 4 + 4;
+constexpr std::size_t kSpecNodeBytes = 1 + 4 + 8 + 8;
 
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-// Bounds-checked little-endian cursor over a decoded payload. Parse
-// failures throw InternalError: the CRC already vouched for these bytes, so
-// a malformed payload is a writer bug or a version skew, never a torn tail.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] bool Exhausted() const { return pos_ == size_; }
-
- private:
-  void Need(std::size_t n) const {
-    if (size_ - pos_ < n) {
-      throw InternalError("event_wal: payload underrun despite matching CRC");
+// Parse failures throw InternalError: the CRC already vouched for these
+// bytes, so a malformed payload is a writer bug or a version skew, never a
+// torn tail.
+WalBatch DecodeBatchPayload(std::string_view payload) {
+  try {
+    wire::ByteReader in(payload);
+    WalBatch batch;
+    batch.seq = in.U64();
+    const std::uint32_t count = in.U32();
+    if (count == kEpochMarker) {
+      batch.epoch_bump = true;
+      batch.epoch = in.U64();
+      in.ExpectExhausted();
+      return batch;
     }
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-WalBatch DecodeBatchPayload(const char* data, std::size_t size) {
-  Cursor cur(data, size);
-  WalBatch batch;
-  batch.seq = cur.U64();
-  const std::uint32_t count = cur.U32();
-  if (count == kEpochMarker) {
-    batch.epoch_bump = true;
-    batch.epoch = cur.U64();
-    if (!cur.Exhausted()) {
-      throw InternalError("event_wal: trailing payload bytes despite matching CRC");
-    }
-    return batch;
-  }
-  batch.events.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    UpdateEvent ev;
-    const std::uint8_t kind = cur.U8();
-    if (kind > static_cast<std::uint8_t>(UpdateEvent::Kind::kLinkCapacity)) {
-      throw InternalError("event_wal: unknown event kind despite matching CRC");
-    }
-    ev.kind = static_cast<UpdateEvent::Kind>(kind);
-    ev.client = cur.U32();
-    ev.delta = static_cast<std::int64_t>(cur.U64());
-    ev.value = cur.U64();
-    ev.parent = cur.U32();
-    const std::uint32_t nspec = cur.U32();
-    ev.spec.nodes.reserve(nspec);
-    for (std::uint32_t j = 0; j < nspec; ++j) {
-      SubtreeSpec::Node node;
-      const std::uint8_t nkind = cur.U8();
-      if (nkind > static_cast<std::uint8_t>(NodeKind::kClient)) {
-        throw InternalError("event_wal: unknown spec-node kind despite matching CRC");
+    in.ExpectRoom(count, kEventBytes);
+    batch.events.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      UpdateEvent ev;
+      const std::uint8_t kind = in.U8();
+      if (kind > static_cast<std::uint8_t>(UpdateEvent::Kind::kLinkCapacity)) {
+        throw InternalError("event_wal: unknown event kind despite matching CRC");
       }
-      node.kind = static_cast<NodeKind>(nkind);
-      node.parent = cur.U32();
-      node.delta = cur.U64();
-      node.requests = cur.U64();
-      ev.spec.nodes.push_back(node);
+      ev.kind = static_cast<UpdateEvent::Kind>(kind);
+      ev.client = in.U32();
+      ev.delta = static_cast<std::int64_t>(in.U64());
+      ev.value = in.U64();
+      ev.parent = in.U32();
+      const std::uint32_t nspec = in.Count(kSpecNodeBytes);
+      ev.spec.nodes.reserve(nspec);
+      for (std::uint32_t j = 0; j < nspec; ++j) {
+        SubtreeSpec::Node node;
+        const std::uint8_t nkind = in.U8();
+        if (nkind > static_cast<std::uint8_t>(NodeKind::kClient)) {
+          throw InternalError("event_wal: unknown spec-node kind despite matching CRC");
+        }
+        node.kind = static_cast<NodeKind>(nkind);
+        node.parent = in.U32();
+        node.delta = in.U64();
+        node.requests = in.U64();
+        ev.spec.nodes.push_back(node);
+      }
+      batch.events.push_back(std::move(ev));
     }
-    batch.events.push_back(std::move(ev));
+    in.ExpectExhausted();
+    return batch;
+  } catch (const wire::DecodeError& e) {
+    throw InternalError(std::string("event_wal: ") + e.what() + " despite matching CRC");
   }
-  if (!cur.Exhausted()) {
-    throw InternalError("event_wal: trailing payload bytes despite matching CRC");
-  }
-  return batch;
-}
-
-std::uint32_t ReadU32At(const std::string& bytes, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i])) << (8 * i);
-  return v;
-}
-
-/// True when a structurally valid record (sane length, full payload
-/// present, CRC matching) frames at `off`.
-bool FramesValidRecord(const std::string& bytes, std::size_t off) {
-  if (bytes.size() - off < kRecordHeaderBytes) return false;
-  const std::uint32_t len = ReadU32At(bytes, off);
-  const std::uint32_t crc = ReadU32At(bytes, off + 4);
-  if (len == 0 || len > kMaxWalRecordBytes) return false;
-  if (bytes.size() - off - kRecordHeaderBytes < len) return false;
-  return support::Crc32(bytes.data() + off + kRecordHeaderBytes, len) == crc;
 }
 
 std::string ReadWholeFile(const std::string& path, bool& exists) {
@@ -243,20 +183,20 @@ EventWal::~EventWal() {
 std::string EventWal::EncodeBatchPayload(
     std::uint64_t seq, const std::vector<UpdateEvent>& events) {
   std::string payload;
-  PutU64(payload, seq);
-  PutU32(payload, static_cast<std::uint32_t>(events.size()));
+  wire::ByteWriter out(payload);
+  out.U64(seq).U32(static_cast<std::uint32_t>(events.size()));
   for (const UpdateEvent& ev : events) {
-    PutU8(payload, static_cast<std::uint8_t>(ev.kind));
-    PutU32(payload, ev.client);
-    PutU64(payload, static_cast<std::uint64_t>(ev.delta));
-    PutU64(payload, ev.value);
-    PutU32(payload, ev.parent);
-    PutU32(payload, static_cast<std::uint32_t>(ev.spec.nodes.size()));
+    out.U8(static_cast<std::uint8_t>(ev.kind))
+        .U32(ev.client)
+        .U64(static_cast<std::uint64_t>(ev.delta))
+        .U64(ev.value)
+        .U32(ev.parent)
+        .U32(static_cast<std::uint32_t>(ev.spec.nodes.size()));
     for (const SubtreeSpec::Node& node : ev.spec.nodes) {
-      PutU8(payload, static_cast<std::uint8_t>(node.kind));
-      PutU32(payload, node.parent);
-      PutU64(payload, node.delta);
-      PutU64(payload, node.requests);
+      out.U8(static_cast<std::uint8_t>(node.kind))
+          .U32(node.parent)
+          .U64(node.delta)
+          .U64(node.requests);
     }
   }
   RPT_CHECK(payload.size() <= kMaxWalRecordBytes);
@@ -265,26 +205,23 @@ std::string EventWal::EncodeBatchPayload(
 
 std::string EventWal::EncodeEpochPayload(std::uint64_t seq, std::uint64_t epoch) {
   std::string payload;
-  PutU64(payload, seq);
-  PutU32(payload, kEpochMarker);
-  PutU64(payload, epoch);
+  wire::ByteWriter(payload).U64(seq).U32(kEpochMarker).U64(epoch);
   return payload;
 }
 
 std::string EventWal::FrameRecord(const std::string& payload) {
   std::string record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(record, static_cast<std::uint32_t>(payload.size()));
-  PutU32(record, support::Crc32(payload.data(), payload.size()));
-  record += payload;
+  record.reserve(wire::kFrameHeaderBytes + payload.size());
+  wire::AppendFrame(record, payload);
   return record;
 }
 
 std::optional<WalBatch> EventWal::TryDecodeFramedRecord(const std::string& frame) {
-  if (!FramesValidRecord(frame, 0)) return std::nullopt;
-  const std::uint32_t len = ReadU32At(frame, 0);
-  if (frame.size() != kRecordHeaderBytes + len) return std::nullopt;
-  return DecodeBatchPayload(frame.data() + kRecordHeaderBytes, len);
+  const auto payload = wire::FrameAt(frame, 0, kMaxWalRecordBytes);
+  if (!payload || frame.size() != wire::kFrameHeaderBytes + payload->size()) {
+    return std::nullopt;
+  }
+  return DecodeBatchPayload(*payload);
 }
 
 WalReadResult EventWal::Read(const std::string& path) {
@@ -307,10 +244,9 @@ WalReadResult EventWal::Read(const std::string& path) {
   result.valid_bytes = off;
   std::uint64_t last_seq = 0;
   while (off < bytes.size()) {
-    if (!FramesValidRecord(bytes, off)) break;
-    const std::uint32_t len = ReadU32At(bytes, off);
-    WalBatch batch =
-        DecodeBatchPayload(bytes.data() + off + kRecordHeaderBytes, len);
+    const auto payload = wire::FrameAt(bytes, off, kMaxWalRecordBytes);
+    if (!payload) break;
+    WalBatch batch = DecodeBatchPayload(*payload);
     if (batch.seq <= last_seq) {
       throw InternalError("event_wal: non-increasing seq " +
                           std::to_string(batch.seq) + " after " +
@@ -318,16 +254,16 @@ WalReadResult EventWal::Read(const std::string& path) {
     }
     last_seq = batch.seq;
     result.batches.push_back(std::move(batch));
-    off += kRecordHeaderBytes + len;
+    off += wire::kFrameHeaderBytes + payload->size();
     result.valid_bytes = off;
   }
 
   if (off < bytes.size()) {
     // Damage at `off`. Torn tail iff no committed record survives past it;
     // otherwise the middle of the log is gone and replay must not proceed.
-    for (std::size_t probe = off + 1; probe + kRecordHeaderBytes <= bytes.size();
+    for (std::size_t probe = off + 1; probe + wire::kFrameHeaderBytes <= bytes.size();
          ++probe) {
-      if (FramesValidRecord(bytes, probe)) {
+      if (wire::FrameAt(bytes, probe, kMaxWalRecordBytes)) {
         throw InternalError(
             "event_wal: interior corruption in '" + path + "' at byte " +
             std::to_string(off) + " (intact record follows at byte " +

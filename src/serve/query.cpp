@@ -1,32 +1,10 @@
 #include "serve/query.hpp"
 
+#include "support/wire.hpp"
+
 namespace rpt::serve {
 
-namespace {
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t GetU32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at + i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t GetU64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-  return v;
-}
-
-}  // namespace
+namespace wire = support::wire;
 
 const char* QueryKindName(QueryKind kind) noexcept {
   switch (kind) {
@@ -77,33 +55,36 @@ QueryResponse Answer(const PlacementSnapshot& snapshot, const QueryRequest& requ
 }
 
 void EncodeRequest(const QueryRequest& request, std::vector<std::uint8_t>& out) {
-  PutU32(out, static_cast<std::uint32_t>(kRequestWireSize));
-  PutU8(out, static_cast<std::uint8_t>(request.kind));
-  PutU32(out, request.node);
-  PutU64(out, request.demand);
+  wire::ByteWriter(out)
+      .U32(static_cast<std::uint32_t>(kRequestWireSize))  // stream length prefix
+      .U8(static_cast<std::uint8_t>(request.kind))
+      .U32(request.node)
+      .U64(request.demand);
 }
 
 void EncodeResponse(const QueryResponse& response, std::vector<std::uint8_t>& out) {
-  PutU32(out, static_cast<std::uint32_t>(kResponseWireSize));
-  PutU64(out, response.version);
-  PutU8(out, static_cast<std::uint8_t>((response.ok ? 1 : 0) |
-                                       (response.stale ? 2 : 0) |
-                                       (response.follower ? 4 : 0)));
-  PutU32(out, response.server);
-  PutU64(out, response.value);
-  PutU64(out, response.distance);
+  wire::ByteWriter(out)
+      .U32(static_cast<std::uint32_t>(kResponseWireSize))  // stream length prefix
+      .U64(response.version)
+      .U8(static_cast<std::uint8_t>((response.ok ? 1 : 0) | (response.stale ? 2 : 0) |
+                                    (response.follower ? 4 : 0)))
+      .U32(response.server)
+      .U64(response.value)
+      .U64(response.distance);
 }
 
 QueryRequest DecodeRequest(std::span<const std::uint8_t> payload) {
   RPT_REQUIRE(payload.size() == kRequestWireSize,
               "serve: request payload must be exactly " + std::to_string(kRequestWireSize) +
                   " bytes, got " + std::to_string(payload.size()));
-  RPT_REQUIRE(payload[0] <= static_cast<std::uint8_t>(QueryKind::kAttachCost),
+  wire::ByteReader in(payload);
+  const std::uint8_t kind = in.U8();
+  RPT_REQUIRE(kind <= static_cast<std::uint8_t>(QueryKind::kAttachCost),
               "serve: unknown query kind byte");
   QueryRequest request;
-  request.kind = static_cast<QueryKind>(payload[0]);
-  request.node = GetU32(payload, 1);
-  request.demand = GetU64(payload, 5);
+  request.kind = static_cast<QueryKind>(kind);
+  request.node = in.U32();
+  request.demand = in.U64();
   return request;
 }
 
@@ -111,15 +92,17 @@ QueryResponse DecodeResponse(std::span<const std::uint8_t> payload) {
   RPT_REQUIRE(payload.size() == kResponseWireSize,
               "serve: response payload must be exactly " + std::to_string(kResponseWireSize) +
                   " bytes, got " + std::to_string(payload.size()));
-  RPT_REQUIRE(payload[8] <= 7, "serve: unknown status bits in response");
+  wire::ByteReader in(payload);
   QueryResponse response;
-  response.version = GetU64(payload, 0);
-  response.ok = (payload[8] & 1) != 0;
-  response.stale = (payload[8] & 2) != 0;
-  response.follower = (payload[8] & 4) != 0;
-  response.server = GetU32(payload, 9);
-  response.value = GetU64(payload, 13);
-  response.distance = GetU64(payload, 21);
+  response.version = in.U64();
+  const std::uint8_t status = in.U8();
+  RPT_REQUIRE(status <= 7, "serve: unknown status bits in response");
+  response.ok = (status & 1) != 0;
+  response.stale = (status & 2) != 0;
+  response.follower = (status & 4) != 0;
+  response.server = in.U32();
+  response.value = in.U64();
+  response.distance = in.U64();
   return response;
 }
 

@@ -5,75 +5,59 @@
 
 #include "serve/net_util.hpp"
 #include "support/failpoint.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::serve {
 
-namespace {
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint64_t GetU64(const std::string& in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
+namespace wire = support::wire;
 
 std::string EncodeReplFrame(const ReplFrame& frame) {
   std::string out;
-  out.push_back(static_cast<char>(frame.kind));
+  wire::ByteWriter w(out);
+  w.U8(static_cast<std::uint8_t>(frame.kind)).U64(frame.epoch);
   switch (frame.kind) {
     case ReplFrameKind::kHello:
     case ReplFrameKind::kAck:
     case ReplFrameKind::kHeartbeat:
-      PutU64(out, frame.epoch);
-      PutU64(out, frame.seq);
+      w.U64(frame.seq);
       break;
     case ReplFrameKind::kRecord:
-      PutU64(out, frame.epoch);
-      PutU64(out, frame.hash);
-      out += frame.record;
+      w.U64(frame.hash).Bytes(frame.record);
       break;
     case ReplFrameKind::kFence:
-      PutU64(out, frame.epoch);
       break;
   }
   return out;
 }
 
 std::optional<ReplFrame> DecodeReplFrame(const std::string& payload) {
-  if (payload.empty()) return std::nullopt;
-  ReplFrame frame;
-  const auto kind = static_cast<std::uint8_t>(payload[0]);
-  switch (kind) {
-    case static_cast<std::uint8_t>(ReplFrameKind::kHello):
-    case static_cast<std::uint8_t>(ReplFrameKind::kAck):
-    case static_cast<std::uint8_t>(ReplFrameKind::kHeartbeat):
-      if (payload.size() != 17) return std::nullopt;
-      frame.kind = static_cast<ReplFrameKind>(kind);
-      frame.epoch = GetU64(payload, 1);
-      frame.seq = GetU64(payload, 9);
-      return frame;
-    case static_cast<std::uint8_t>(ReplFrameKind::kRecord):
-      if (payload.size() < 17) return std::nullopt;
-      frame.kind = ReplFrameKind::kRecord;
-      frame.epoch = GetU64(payload, 1);
-      frame.hash = GetU64(payload, 9);
-      frame.record = payload.substr(17);
-      return frame;
-    case static_cast<std::uint8_t>(ReplFrameKind::kFence):
-      if (payload.size() != 9) return std::nullopt;
-      frame.kind = ReplFrameKind::kFence;
-      frame.epoch = GetU64(payload, 1);
-      return frame;
-    default:
-      return std::nullopt;
+  try {
+    wire::ByteReader in(payload);
+    ReplFrame frame;
+    const std::uint8_t kind = in.U8();
+    switch (kind) {
+      case static_cast<std::uint8_t>(ReplFrameKind::kHello):
+      case static_cast<std::uint8_t>(ReplFrameKind::kAck):
+      case static_cast<std::uint8_t>(ReplFrameKind::kHeartbeat):
+        frame.epoch = in.U64();
+        frame.seq = in.U64();
+        break;
+      case static_cast<std::uint8_t>(ReplFrameKind::kRecord):
+        frame.epoch = in.U64();
+        frame.hash = in.U64();
+        frame.record = in.Rest();
+        break;
+      case static_cast<std::uint8_t>(ReplFrameKind::kFence):
+        frame.epoch = in.U64();
+        break;
+      default:
+        return std::nullopt;
+    }
+    in.ExpectExhausted();
+    frame.kind = static_cast<ReplFrameKind>(kind);
+    return frame;
+  } catch (const wire::DecodeError&) {
+    return std::nullopt;
   }
 }
 
@@ -331,9 +315,8 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
   // batch still consumed a seq and must still ship — followers re-reject
   // it deterministically; swallowing it here would desync every stream.
   std::exception_ptr rejected;
-  bool feasible = false;
   try {
-    feasible = harness_.ApplyAndPublish(events);
+    (void)harness_.ApplyAndPublish(events);
   } catch (const InvalidArgument&) {
     rejected = std::current_exception();
   }

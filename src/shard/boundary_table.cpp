@@ -4,79 +4,30 @@
 #include <sstream>
 
 #include "support/common.hpp"
-#include "support/crc32.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::shard {
 
 namespace {
 
+namespace wire = support::wire;
 using Cost = multiple::NodDpEngine::Cost;
 using CostTable = multiple::NodDpEngine::CostTable;
+using wire::ByteReader;
 constexpr Cost kInf = multiple::NodDpEngine::kInfCost;
 
 constexpr std::size_t kMagicBytes = sizeof(kBtabMagic);
-constexpr std::size_t kFrameHeaderBytes = 8;  // len u32 + crc u32
 constexpr std::uint8_t kKindTable = 1;
 constexpr std::uint8_t kKindFragment = 2;
 constexpr std::uint32_t kBtabVersion = 1;
-
-void PutU8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
 
 [[noreturn]] void Fail(const std::string& what) {
   throw InvalidArgument("rpt-btab: " + what);
 }
 
-// Bounds-checked little-endian cursor. Every decode failure — underrun,
-// overrun, bad field — is InvalidArgument: a btab either loads exactly or
-// loudly refuses, there is no partial result to hand back.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] bool Exhausted() const { return pos_ == size_; }
-
- private:
-  void Need(std::size_t n) const {
-    if (size_ - pos_ < n) Fail("payload underruns its frame");
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
 void AppendFramed(std::string& out, const std::string& payload) {
   RPT_CHECK(payload.size() <= kMaxBtabRecordBytes);
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, support::Crc32(payload.data(), payload.size()));
-  out.append(payload);
+  wire::AppendFrame(out, payload);
 }
 
 std::string EncodeTablePayload(const BoundaryTable& table) {
@@ -100,41 +51,40 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
   }
 
   std::string payload;
-  PutU8(payload, kKindTable);
-  PutU32(payload, table.cut);
-  PutU64(payload, table.demand);
-  PutU32(payload, table.subtree_nodes);
-  PutU64(payload, table.table_entries);
-  PutU64(payload, table.convolve_cells);
-  PutU32(payload, vmin);
-  PutU32(payload, vmax);
-  for (const std::uint32_t v : inv) PutU32(payload, v);
+  wire::ByteWriter out(payload);
+  out.U8(kKindTable)
+      .U32(table.cut)
+      .U64(table.demand)
+      .U32(table.subtree_nodes)
+      .U64(table.table_entries)
+      .U64(table.convolve_cells)
+      .U32(vmin)
+      .U32(vmax);
+  for (const std::uint32_t v : inv) out.U32(v);
   return payload;
 }
 
-void DecodeTablePayload(Cursor& cur, BtabFile& file) {
+void DecodeTablePayload(ByteReader& in, BtabFile& file) {
   BoundaryTable table;
-  table.cut = cur.U32();
-  table.demand = cur.U64();
+  table.cut = in.U32();
+  table.demand = in.U64();
   if (table.demand > kMaxBtabDemand) Fail("table demand exceeds the sanity cap");
-  table.subtree_nodes = cur.U32();
-  table.table_entries = cur.U64();
-  table.convolve_cells = cur.U64();
-  const auto vmin = static_cast<Cost>(cur.U32());
-  const auto vmax = static_cast<Cost>(cur.U32());
+  table.subtree_nodes = in.U32();
+  table.table_entries = in.U64();
+  table.convolve_cells = in.U64();
+  const auto vmin = static_cast<Cost>(in.U32());
+  const auto vmax = static_cast<Cost>(in.U32());
   if (vmin > vmax || vmax >= kInf) Fail("table cost range is invalid");
-  if (static_cast<std::uint64_t>(vmax) - vmin >= kMaxBtabRecordBytes / 4) {
-    Fail("table cost range is implausible for one record");
-  }
+  in.ExpectRoom(static_cast<std::uint64_t>(vmax - vmin) + 1, 4);
   std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1);
   for (auto& v : inv) {
-    v = cur.U32();
+    v = in.U32();
     if (v > table.demand) Fail("table staircase index exceeds the demand domain");
   }
   for (std::size_t c = 1; c < inv.size(); ++c) {
     if (inv[c] > inv[c - 1]) Fail("table staircase is not monotone");
   }
-  if (!cur.Exhausted()) Fail("table payload overruns its fields");
+  in.ExpectExhausted();
 
   // Materialize — the mirror of the DP convolution's output loop, so the
   // round trip is exact entry for entry.
@@ -151,51 +101,45 @@ void DecodeTablePayload(Cursor& cur, BtabFile& file) {
 
 std::string EncodeFragmentPayload(const SolutionFragment& fragment) {
   std::string payload;
-  PutU8(payload, kKindFragment);
-  PutU32(payload, fragment.cut);
-  PutU64(payload, fragment.budget);
-  PutU32(payload, static_cast<std::uint32_t>(fragment.solution.replicas.size()));
-  for (const NodeId replica : fragment.solution.replicas) PutU32(payload, replica);
-  PutU32(payload, static_cast<std::uint32_t>(fragment.solution.assignment.size()));
+  wire::ByteWriter out(payload);
+  out.U8(kKindFragment).U32(fragment.cut).U64(fragment.budget);
+  out.U32(static_cast<std::uint32_t>(fragment.solution.replicas.size()));
+  for (const NodeId replica : fragment.solution.replicas) out.U32(replica);
+  out.U32(static_cast<std::uint32_t>(fragment.solution.assignment.size()));
   for (const ServiceEntry& entry : fragment.solution.assignment) {
-    PutU32(payload, entry.client);
-    PutU32(payload, entry.server);
-    PutU64(payload, entry.amount);
+    out.U32(entry.client).U32(entry.server).U64(entry.amount);
   }
-  PutU32(payload, static_cast<std::uint32_t>(fragment.forwarded.size()));
-  for (const auto& [client, amount] : fragment.forwarded) {
-    PutU32(payload, client);
-    PutU64(payload, amount);
-  }
+  out.U32(static_cast<std::uint32_t>(fragment.forwarded.size()));
+  for (const auto& [client, amount] : fragment.forwarded) out.U32(client).U64(amount);
   return payload;
 }
 
-void DecodeFragmentPayload(Cursor& cur, BtabFile& file) {
+void DecodeFragmentPayload(ByteReader& in, BtabFile& file) {
   SolutionFragment fragment;
-  fragment.cut = cur.U32();
-  fragment.budget = cur.U64();
-  const std::uint32_t replica_count = cur.U32();
+  fragment.cut = in.U32();
+  fragment.budget = in.U64();
+  const std::uint32_t replica_count = in.Count(4);
   fragment.solution.replicas.reserve(replica_count);
   for (std::uint32_t i = 0; i < replica_count; ++i) {
-    fragment.solution.replicas.push_back(cur.U32());
+    fragment.solution.replicas.push_back(in.U32());
   }
-  const std::uint32_t entry_count = cur.U32();
+  const std::uint32_t entry_count = in.Count(4 + 4 + 8);
   fragment.solution.assignment.reserve(entry_count);
   for (std::uint32_t i = 0; i < entry_count; ++i) {
     ServiceEntry entry;
-    entry.client = cur.U32();
-    entry.server = cur.U32();
-    entry.amount = cur.U64();
+    entry.client = in.U32();
+    entry.server = in.U32();
+    entry.amount = in.U64();
     fragment.solution.assignment.push_back(entry);
   }
-  const std::uint32_t fwd_count = cur.U32();
+  const std::uint32_t fwd_count = in.Count(4 + 8);
   fragment.forwarded.reserve(fwd_count);
   for (std::uint32_t i = 0; i < fwd_count; ++i) {
-    const NodeId client = cur.U32();
-    const Requests amount = cur.U64();
+    const NodeId client = in.U32();
+    const Requests amount = in.U64();
     fragment.forwarded.emplace_back(client, amount);
   }
-  if (!cur.Exhausted()) Fail("fragment payload overruns its fields");
+  in.ExpectExhausted();
   file.fragments.push_back(std::move(fragment));
 }
 
@@ -211,9 +155,10 @@ std::string EncodeBtab(const BtabFile& file) {
   }
 
   std::string header;
-  PutU32(header, kBtabVersion);
-  PutU32(header, static_cast<std::uint32_t>(file.tables.size() + file.fragments.size()));
-  PutU64(header, body.size());
+  wire::ByteWriter(header)
+      .U32(kBtabVersion)
+      .U32(static_cast<std::uint32_t>(file.tables.size() + file.fragments.size()))
+      .U64(body.size());
 
   std::string out(kBtabMagic, kMagicBytes);
   AppendFramed(out, header);
@@ -225,49 +170,41 @@ BtabFile DecodeBtab(std::string_view bytes) {
   if (bytes.size() < kMagicBytes || bytes.compare(0, kMagicBytes, kBtabMagic, kMagicBytes) != 0) {
     Fail("bad magic");
   }
+  // Strict whole-file scan: every frame must be intact, in order, and the
+  // last one must end the file — a btab has no torn-tail tolerance.
   std::size_t pos = kMagicBytes;
-  const auto read_frame = [&](std::string_view what) -> std::string_view {
-    if (bytes.size() - pos < kFrameHeaderBytes) Fail(std::string(what) + " frame is truncated");
-    Cursor head(bytes.data() + pos, kFrameHeaderBytes);
-    const std::uint32_t len = head.U32();
-    const std::uint32_t crc = head.U32();
-    if (len > kMaxBtabRecordBytes) Fail(std::string(what) + " frame length is implausible");
-    if (bytes.size() - pos - kFrameHeaderBytes < len) {
-      Fail(std::string(what) + " payload is truncated");
-    }
-    const std::string_view payload = bytes.substr(pos + kFrameHeaderBytes, len);
-    if (support::Crc32(payload.data(), payload.size()) != crc) {
-      Fail(std::string(what) + " payload fails its CRC");
-    }
-    pos += kFrameHeaderBytes + len;
-    return payload;
+  const auto next_frame = [&](const char* what) {
+    const auto payload = wire::FrameAt(bytes, pos, kMaxBtabRecordBytes);
+    if (!payload) Fail(std::string(what) + " frame is truncated, implausibly long or fails its CRC");
+    pos += wire::kFrameHeaderBytes + payload->size();
+    return ByteReader(*payload);
   };
 
-  const std::string_view header = read_frame("header");
-  Cursor head(header.data(), header.size());
-  const std::uint32_t version = head.U32();
-  if (version != kBtabVersion) Fail("unsupported version");
-  const std::uint32_t record_count = head.U32();
-  const std::uint64_t body_bytes = head.U64();
-  if (!head.Exhausted()) Fail("header payload overruns its fields");
-  if (bytes.size() - pos != body_bytes) Fail("body byte count does not match the header");
+  try {
+    ByteReader head = next_frame("header");
+    if (head.U32() != kBtabVersion) Fail("unsupported version");
+    const std::uint32_t record_count = head.U32();
+    const std::uint64_t body_bytes = head.U64();
+    head.ExpectExhausted();
+    if (bytes.size() - pos != body_bytes) Fail("body byte count does not match the header");
 
-  BtabFile file;
-  for (std::uint32_t i = 0; i < record_count; ++i) {
-    const std::string_view payload = read_frame("record");
-    if (payload.empty()) Fail("record payload is empty");
-    Cursor cur(payload.data(), payload.size());
-    const std::uint8_t kind = cur.U8();
-    if (kind == kKindTable) {
-      DecodeTablePayload(cur, file);
-    } else if (kind == kKindFragment) {
-      DecodeFragmentPayload(cur, file);
-    } else {
-      Fail("unknown record kind");
+    BtabFile file;
+    for (std::uint32_t i = 0; i < record_count; ++i) {
+      ByteReader in = next_frame("record");
+      const std::uint8_t kind = in.U8();
+      if (kind == kKindTable) {
+        DecodeTablePayload(in, file);
+      } else if (kind == kKindFragment) {
+        DecodeFragmentPayload(in, file);
+      } else {
+        Fail("unknown record kind");
+      }
     }
+    if (pos != bytes.size()) Fail("trailing bytes after the last record");
+    return file;
+  } catch (const wire::DecodeError& e) {
+    Fail(e.what());
   }
-  if (pos != bytes.size()) Fail("trailing bytes after the last record");
-  return file;
 }
 
 void WriteBtabFile(const std::string& path, const BtabFile& file) {

@@ -10,7 +10,7 @@
 // server at its root (the jmin of the paper); the remaining bundles are
 // re-parented to L_parent(j) unchanged.
 //
-// Deviation from the pseudo-code (documented in DESIGN.md): at the root, a
+// Deviation from the pseudo-code: at the root, a
 // replica is only placed when unserved requests remain; the paper's listing
 // adds the root unconditionally, which would waste a replica on an
 // all-zero-requests instance.

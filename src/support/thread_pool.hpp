@@ -1,8 +1,8 @@
 // Minimal work-stealing-free thread pool with chunked fork-join helpers.
 //
 // Used by the benchmark harness, the property-test sweeps, and — via the
-// process-wide solver pool — by the intra-instance parallel kernels (the CSR
-// tree build and the level-synchronous Multiple-NoD DP). Follows the Core
+// process-wide solver pool — by the intra-instance parallel kernel (the
+// level-synchronous Multiple-NoD DP). Follows the Core
 // Guidelines concurrency rules: RAII-joined threads (CP.23/CP.25), no
 // detached threads, data shared between tasks is owned by the caller and
 // partitioned by index range so tasks never write to the same element
@@ -180,16 +180,8 @@ void ParallelForChunked(ThreadPool* pool, std::size_t count, std::size_t grain, 
   if (state.error) std::rethrow_exception(std::exchange(state.error, nullptr));
 }
 
-/// Legacy per-index form; thin shim over ParallelForChunked (grain 1).
-inline void ParallelFor(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& body) {
-  ParallelForChunked(&pool, count, /*grain=*/1, [&body](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  });
-}
-
-/// The process-wide pool for intra-solver parallelism (parallel tree build,
-/// level-synchronous DP). Lazily created on first call with the width set by
+/// The process-wide pool for intra-solver parallelism (the level-synchronous
+/// DP). Lazily created on first call with the width set by
 /// SetSolverThreads. Returns nullptr when intra-solver parallelism is off
 /// (width 1) — callers pass the result straight to ParallelForChunked, which
 /// then runs inline. Solvers never own threads: they all share this pool, and

@@ -30,7 +30,7 @@ TEST(Registry, PolicyAndOptimalityFlags) {
   EXPECT_FALSE(IsOptimal(Algorithm::kSingleNod));
   // The paper claims multiple-bin is optimal (Theorem 6); our reproduction
   // found distance-constrained counterexamples, so the registry does not
-  // advertise an unconditional guarantee (see EXPERIMENTS.md, E6).
+  // advertise an unconditional guarantee (see docs/EXPERIMENTS.md, E6).
   EXPECT_FALSE(IsOptimal(Algorithm::kMultipleBin));
   EXPECT_TRUE(IsOptimal(Algorithm::kMultipleNodDp));
   EXPECT_TRUE(IsOptimal(Algorithm::kExactSingle));

@@ -249,6 +249,44 @@ TEST(EventWal, BitFlipCorpusPrefixOrLoudNeverWrong) {
   }
 }
 
+/// Overwrites the u32 at `at` inside a framed record's payload and reseals
+/// the record's CRC, so only the decoder's own checks stand in the way.
+std::string WithLyingU32(std::string record, std::size_t at, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) record[8 + at + i] = static_cast<char>(value >> (8 * i));
+  const std::uint32_t crc = support::Crc32(record.data() + 8, record.size() - 8);
+  for (int i = 0; i < 4; ++i) record[4 + i] = static_cast<char>(crc >> (8 * i));
+  return record;
+}
+
+// The lying-length corpus: a count field inflated past the bytes that follow
+// it, under a CRC that still matches. The decoder must refuse it with its
+// typed error before it reserves anything for the claimed elements.
+TEST(EventWal, LyingCountsUnderValidCrcThrowInternalError) {
+  SubtreeSpec spec;
+  spec.nodes.push_back({NodeKind::kClient, 0, 1, 7});
+  const std::string record = EventWal::FrameRecord(
+      EventWal::EncodeBatchPayload(1, {UpdateEvent::AttachSubtree(0, spec)}));
+  constexpr std::size_t kEventCountAt = 8;            // after seq u64
+  constexpr std::size_t kSpecCountAt = 12 + 1 + 4 + 8 + 8 + 4;  // first event's nspec
+  for (const std::uint32_t lie : {2u, 0x00FFFFFFu, 0xFFFFFFFEu}) {
+    EXPECT_THROW((void)EventWal::TryDecodeFramedRecord(
+                     WithLyingU32(record, kEventCountAt, lie)),
+                 InternalError)
+        << "event count " << lie;
+    EXPECT_THROW((void)EventWal::TryDecodeFramedRecord(
+                     WithLyingU32(record, kSpecCountAt, lie)),
+                 InternalError)
+        << "spec-node count " << lie;
+  }
+
+  // The file reader reaches the same decoder: a lying record is loud there too.
+  const TempDir dir;
+  const std::string path = dir.File("wal.log");
+  WriteSampleWal(path);
+  WriteFileBytes(path, ReadFileBytes(path) + WithLyingU32(record, kEventCountAt, 0xFFFFFFFEu));
+  EXPECT_THROW((void)EventWal::Read(path), InternalError);
+}
+
 TEST(EventWal, TrimThroughKeepsOnlyNewerRecords) {
   const TempDir dir;
   const std::string path = dir.File("wal.log");

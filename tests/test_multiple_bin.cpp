@@ -152,7 +152,7 @@ TEST(MultipleBin, EmptyTreeNoReplicas) {
 
 // --- Optimality certification (Theorem 6) --------------------------------
 //
-// REPRODUCTION FINDING (documented in EXPERIMENTS.md, E6): Theorem 6's
+// REPRODUCTION FINDING (documented in docs/EXPERIMENTS.md, E6): Theorem 6's
 // optimality claim holds in all our NoD sweeps (0 deviations in 500+
 // instances per configuration), but *fails* on a small fraction of
 // distance-constrained instances — see Theorem6CounterexampleRegression
@@ -167,6 +167,19 @@ struct OptimalityCase {
   Distance dmax;
   Distance max_edge;
 };
+
+// Names each case from its fields (the default printer dumps raw bytes,
+// padding included, so test names would change between builds).
+void PrintTo(const OptimalityCase& c, std::ostream* os) {
+  *os << "clients" << c.clients << "_W" << c.capacity << "_maxreq" << c.max_requests
+      << "_dmax";
+  if (c.dmax == kNoDistanceLimit) {
+    *os << "inf";
+  } else {
+    *os << c.dmax;
+  }
+  *os << "_maxedge" << c.max_edge;
+}
 
 class MultipleBinOptimalityNod : public ::testing::TestWithParam<OptimalityCase> {};
 

@@ -96,6 +96,13 @@ struct DpCase {
   Requests max_requests;  // may exceed capacity: splitting must cope
 };
 
+// Names each case from its fields (the default printer dumps raw bytes,
+// padding included, so test names would change between builds).
+void PrintTo(const DpCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity << "_maxreq" << c.max_requests;
+}
+
 class MultipleNodDpAgreement : public ::testing::TestWithParam<DpCase> {};
 
 TEST_P(MultipleNodDpAgreement, MatchesExhaustiveOptimum) {

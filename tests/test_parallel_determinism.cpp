@@ -1,10 +1,8 @@
-// Determinism guards for intra-instance parallelism: the parallel
-// TreeBuilder::Build (level-synchronous CSR derive on the solver pool) and
-// the level-synchronous Multiple-NoD DP must be byte-identical to their
-// serial forms at every thread count. Runs the same inputs at solver
-// widths 1 (serial path), 2, and 7 (more workers than this container has
-// cores, which is exactly the oversubscribed case worth exercising) and
-// compares every observable column / solver output.
+// Determinism guards for intra-instance parallelism: the level-synchronous
+// Multiple-NoD DP must be byte-identical to its serial form at every thread
+// count. Runs the same inputs at solver widths 1 (serial path), 2, and 7
+// (more workers than the machine may have cores, which is exactly the
+// oversubscribed case worth exercising) and compares every solver output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,83 +23,6 @@ struct SolverThreadsGuard {
   explicit SolverThreadsGuard(std::size_t threads) { SetSolverThreads(threads); }
   ~SolverThreadsGuard() { SetSolverThreads(1); }
 };
-
-// The parallel derive path only engages above an internal node-count
-// crossover (32768 nodes); both tree shapes here clear it.
-Tree BuildBigBinaryTree(std::uint64_t seed) {
-  gen::BinaryTreeConfig cfg;
-  cfg.clients = 20000;  // 39999 nodes
-  cfg.min_requests = 1;
-  cfg.max_requests = 10;
-  cfg.min_edge = 1;
-  cfg.max_edge = 4;
-  return gen::GenerateFullBinaryTree(cfg, seed);
-}
-
-Tree BuildBigRandomTree(std::uint64_t seed) {
-  gen::RandomTreeConfig cfg;
-  cfg.internal_nodes = 9000;
-  cfg.clients = 27000;  // 36001 nodes
-  cfg.max_children = 6;
-  cfg.min_requests = 1;
-  cfg.max_requests = 8;
-  return gen::GenerateRandomTree(cfg, seed);
-}
-
-void ExpectTreesIdentical(const Tree& expected, const Tree& actual) {
-  ASSERT_EQ(expected.Size(), actual.Size());
-  ASSERT_EQ(expected.ClientCount(), actual.ClientCount());
-  EXPECT_EQ(expected.Arity(), actual.Arity());
-  EXPECT_EQ(expected.TotalRequests(), actual.TotalRequests());
-
-  const auto expected_clients = expected.Clients();
-  const auto actual_clients = actual.Clients();
-  ASSERT_TRUE(std::equal(expected_clients.begin(), expected_clients.end(),
-                         actual_clients.begin(), actual_clients.end()));
-  const auto expected_post = expected.PostOrder();
-  const auto actual_post = actual.PostOrder();
-  ASSERT_TRUE(
-      std::equal(expected_post.begin(), expected_post.end(), actual_post.begin(),
-                 actual_post.end()));
-
-  for (NodeId id = 0; id < expected.Size(); ++id) {
-    ASSERT_EQ(expected.Kind(id), actual.Kind(id)) << "node " << id;
-    ASSERT_EQ(expected.Parent(id), actual.Parent(id)) << "node " << id;
-    ASSERT_EQ(expected.Depth(id), actual.Depth(id)) << "node " << id;
-    ASSERT_EQ(expected.DistFromRoot(id), actual.DistFromRoot(id)) << "node " << id;
-    ASSERT_EQ(expected.SubtreeRequests(id), actual.SubtreeRequests(id)) << "node " << id;
-    ASSERT_EQ(expected.SubtreeSize(id), actual.SubtreeSize(id)) << "node " << id;
-    const auto expected_kids = expected.Children(id);
-    const auto actual_kids = actual.Children(id);
-    ASSERT_TRUE(std::equal(expected_kids.begin(), expected_kids.end(), actual_kids.begin(),
-                           actual_kids.end()))
-        << "node " << id;
-  }
-
-  // Euler intervals (tin is internal; ancestor queries expose it): strided
-  // pair sample across the whole id range.
-  const NodeId stride = static_cast<NodeId>(expected.Size() / 61 + 1);
-  for (NodeId a = 0; a < expected.Size(); a += stride) {
-    for (NodeId b = 0; b < expected.Size(); b += stride) {
-      ASSERT_EQ(expected.IsAncestorOrSelf(a, b), actual.IsAncestorOrSelf(a, b))
-          << "a=" << a << " b=" << b;
-    }
-  }
-}
-
-TEST(ParallelTreeBuild, ByteIdenticalToSerialAcrossThreadCounts) {
-  for (const std::uint64_t seed : {1ull, 2ull}) {
-    SetSolverThreads(1);
-    const Tree serial_binary = BuildBigBinaryTree(seed);
-    const Tree serial_random = BuildBigRandomTree(seed);
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-      SolverThreadsGuard guard(threads);
-      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " + std::to_string(threads));
-      ExpectTreesIdentical(serial_binary, BuildBigBinaryTree(seed));
-      ExpectTreesIdentical(serial_random, BuildBigRandomTree(seed));
-    }
-  }
-}
 
 // FNV-1a over the canonicalized solution, matching the golden-test hash in
 // test_hotpath_equivalence.cpp.

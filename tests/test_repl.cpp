@@ -41,6 +41,7 @@
 #include "serve/serve_harness.hpp"
 #include "serve/tcp_server.hpp"
 #include "sim/partition.hpp"
+#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 
 namespace rpt::serve {
@@ -250,6 +251,32 @@ TEST(FollowerCore, DivergenceAndUnparseablePayloadsAreLoud) {
   const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
   EXPECT_THROW(core.OnRecord(1, /*expected_hash=*/0x1234, RecordFrameFor(1, batch)),
                InternalError);
+}
+
+// The lying-length corpus over the link: a RECORD frame carrying a WAL
+// record whose event count is inflated under a resealed CRC. The frame
+// itself decodes (the record is opaque to it); the follower's decode of
+// the record must be loud InternalError, never an allocation failure.
+TEST(FollowerCore, RecordWrappingALyingWalRecordIsLoud) {
+  const Instance instance = MakeInstance(25);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  FollowerCore core(harness);
+
+  std::string lying = RecordFrameFor(1, {UpdateEvent::DemandDelta(31, 2)});
+  constexpr std::uint32_t kLie = 0xFFFFFFFEu;
+  for (int i = 0; i < 4; ++i) lying[8 + 8 + i] = static_cast<char>(kLie >> (8 * i));
+  const std::uint32_t crc = support::Crc32(lying.data() + 8, lying.size() - 8);
+  for (int i = 0; i < 4; ++i) lying[4 + i] = static_cast<char>(crc >> (8 * i));
+
+  ReplFrame record;
+  record.kind = ReplFrameKind::kRecord;
+  record.epoch = harness.Epoch();
+  record.record = lying;
+  const std::optional<ReplFrame> frame = DecodeReplFrame(EncodeReplFrame(record));
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_THROW(core.OnRecord(frame->epoch, frame->hash, frame->record), InternalError);
+  EXPECT_EQ(harness.LastDurableSeq(), 0u);
 }
 
 TEST(FollowerCore, CorruptionCorpusRetryOrLoudNeverDivergent) {

@@ -20,6 +20,7 @@
 #include "shard/coordinator.hpp"
 #include "shard/plan.hpp"
 #include "shard/worker.hpp"
+#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/thread_pool.hpp"
 
@@ -221,6 +222,33 @@ TEST(BoundaryTableCodec, EveryBitFlipFailsLoudly) {
       damaged[pos] = static_cast<char>(damaged[pos] ^ (1 << bit));
       EXPECT_THROW((void)DecodeBtab(damaged), InvalidArgument)
           << "byte " << pos << " bit " << bit;
+    }
+  }
+}
+
+// The lying-length corpus: each fragment count inflated under a resealed
+// CRC. DecodeBtab must refuse with InvalidArgument, never try to reserve
+// the claimed elements.
+TEST(BoundaryTableCodec, LyingFragmentCountsUnderValidCrcThrowInvalidArgument) {
+  BtabFile file;
+  file.fragments = SampleBtab().fragments;
+  const std::string bytes = EncodeBtab(file);
+  // magic 8 | header frame 8 + 16 | record frame header 8 | payload
+  constexpr std::size_t kPayload = 8 + 24 + 8;
+  const std::size_t replicas_at = kPayload + 1 + 4 + 8;
+  const std::size_t entries_at = replicas_at + 4 + 2 * 4;
+  const std::size_t forwarded_at = entries_at + 4 + 2 * 16;
+  const auto lying = [&](std::size_t at, std::uint32_t value) {
+    std::string out = bytes;
+    for (int i = 0; i < 4; ++i) out[at + i] = static_cast<char>(value >> (8 * i));
+    const std::uint32_t crc = support::Crc32(out.data() + kPayload, out.size() - kPayload);
+    for (int i = 0; i < 4; ++i) out[kPayload - 4 + i] = static_cast<char>(crc >> (8 * i));
+    return out;
+  };
+  for (const std::size_t at : {replicas_at, entries_at, forwarded_at}) {
+    for (const std::uint32_t lie : {3u, 0x00FFFFFFu, 0xFFFFFFFFu}) {
+      EXPECT_THROW((void)DecodeBtab(lying(at, lie)), InvalidArgument)
+          << "count at byte " << at << " = " << lie;
     }
   }
 }

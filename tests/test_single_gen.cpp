@@ -96,6 +96,18 @@ struct SingleGenPropertyCase {
   Distance dmax;
 };
 
+// Names each case from its fields (the default printer dumps raw bytes,
+// padding included, so test names would change between builds).
+void PrintTo(const SingleGenPropertyCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity << "_dmax";
+  if (c.dmax == kNoDistanceLimit) {
+    *os << "inf";
+  } else {
+    *os << c.dmax;
+  }
+}
+
 class SingleGenProperty : public ::testing::TestWithParam<SingleGenPropertyCase> {};
 
 TEST_P(SingleGenProperty, AlwaysFeasible) {

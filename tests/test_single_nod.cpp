@@ -114,6 +114,13 @@ struct NodPropertyCase {
   Requests capacity;
 };
 
+// Names each case from its fields (the default printer dumps raw bytes,
+// padding included, so test names would change between builds).
+void PrintTo(const NodPropertyCase& c, std::ostream* os) {
+  *os << "internal" << c.internal_nodes << "_clients" << c.clients << "_children"
+      << c.max_children << "_W" << c.capacity;
+}
+
 class SingleNodProperty : public ::testing::TestWithParam<NodPropertyCase> {};
 
 TEST_P(SingleNodProperty, AlwaysFeasible) {

@@ -1,5 +1,6 @@
 // Unit tests for the support module: RNG, tables, stats, thread pool, CLI,
-// and the arithmetic helpers in common.hpp.
+// the byte codec and record frame in wire.hpp, and the arithmetic helpers in
+// common.hpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
+#include "support/wire.hpp"
 
 namespace rpt {
 namespace {
@@ -249,18 +251,6 @@ TEST(ThreadPool, PropagatesTaskException) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<int> hits(1000, 0);
-  ParallelFor(pool, hits.size(), [&hits](std::size_t i) { hits[i] += 1; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIterations) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
 TEST(ThreadPool, ParallelForChunkedCoversRangeNotDivisibleByGrain) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(103);
@@ -348,6 +338,62 @@ TEST(ThreadPool, SolverPoolFollowsConfiguredWidth) {
   SetSolverThreads(1);  // serial: no pool at all
   EXPECT_EQ(SolverPool(), nullptr);
   EXPECT_EQ(SolverThreads(), 1u);
+}
+
+TEST(Wire, WriterAndReaderRoundTripLittleEndian) {
+  std::string bytes;
+  support::wire::ByteWriter(bytes).U8(0xAB).U32(0x01020304u).U64(0x1122334455667788ull).Bytes(
+      std::string_view("xy"));
+  EXPECT_EQ(bytes, std::string("\xAB\x04\x03\x02\x01\x88\x77\x66\x55\x44\x33\x22\x11xy", 15));
+
+  support::wire::ByteReader in(bytes);
+  EXPECT_EQ(in.U8(), 0xABu);
+  EXPECT_EQ(in.U32(), 0x01020304u);
+  EXPECT_EQ(in.U64(), 0x1122334455667788ull);
+  EXPECT_THROW(in.ExpectExhausted(), support::wire::DecodeError);
+  EXPECT_EQ(in.Rest(), "xy");
+  in.ExpectExhausted();
+  EXPECT_THROW((void)in.U8(), support::wire::DecodeError);
+}
+
+TEST(Wire, CountRefusesElementsThatCannotFitInTheBytesLeft) {
+  std::string bytes;
+  support::wire::ByteWriter(bytes).U32(3).U64(0).U32(0);  // 3 claimed, 12 bytes left
+  support::wire::ByteReader fits(bytes);
+  EXPECT_EQ(fits.Count(4), 3u);
+  support::wire::ByteReader lies(bytes);
+  EXPECT_THROW((void)lies.Count(5), support::wire::DecodeError);
+
+  std::string huge;
+  support::wire::ByteWriter(huge).U32(0xFFFFFFFFu);
+  support::wire::ByteReader empty_tail(huge);
+  EXPECT_THROW((void)empty_tail.Count(1), support::wire::DecodeError);
+}
+
+TEST(Wire, FrameAtAcceptsOnlyIntactRecords) {
+  std::string framed = "junk";
+  support::wire::AppendFrame(framed, "payload");
+  EXPECT_EQ(support::wire::FrameAt(framed, 4, 64), std::optional<std::string_view>("payload"));
+  EXPECT_FALSE(support::wire::FrameAt(framed, 4, 6).has_value());  // over max_len
+  EXPECT_FALSE(support::wire::FrameAt(framed.substr(0, framed.size() - 1), 4, 64).has_value());
+  EXPECT_FALSE(support::wire::FrameAt(framed, 0, 64).has_value());
+  EXPECT_FALSE(support::wire::FrameAt(framed, framed.size(), 64).has_value());
+  std::string flipped = framed;
+  flipped.back() ^= 1;
+  EXPECT_FALSE(support::wire::FrameAt(flipped, 4, 64).has_value());
+
+  std::string empty;
+  support::wire::AppendFrame(empty, "");
+  EXPECT_FALSE(support::wire::FrameAt(empty, 0, 64).has_value());  // length 0 is never sane
+}
+
+TEST(Wire, StreamPrefixCarriesThePayloadLength) {
+  std::vector<std::uint8_t> wire;
+  support::wire::AppendPrefixed(wire, std::string_view("abc"));
+  ASSERT_EQ(wire.size(), 7u);
+  std::uint8_t prefix[support::wire::kPrefixBytes];
+  std::copy_n(wire.begin(), 4, prefix);
+  EXPECT_EQ(support::wire::PrefixLength(prefix), 3u);
 }
 
 TEST(Arena, SpansAreDisjointAndResetReusesSlabs) {

@@ -17,6 +17,10 @@ struct FuzzCase {
   core::Algorithm algorithm;
 };
 
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << PolicyName(c.policy) << "_" << core::AlgorithmName(c.algorithm);
+}
+
 class ValidatorFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 // Applies one of several corruption kinds; returns false when the mutation
