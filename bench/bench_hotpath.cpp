@@ -30,6 +30,9 @@
 //                      metric is the analytic table footprint of the DP)
 //   flow-oracle        Dinic feasibility routing with a replica at every
 //                      internal node
+//   multiple-feasible  the tree router (flow::MultipleFeasible) on the same
+//                      placement, NoD; multiple-feasible-dmax is the same
+//                      probe with dmax=12 binding
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -38,6 +41,7 @@
 
 #include "core/solver.hpp"
 #include "flow/assignment.hpp"
+#include "flow/tree_router.hpp"
 #include "gen/random_tree.hpp"
 #include "runner/batch_runner.hpp"
 #include "support/cli.hpp"
@@ -51,15 +55,16 @@ using namespace rpt;
 
 // Same instance class as bench_scaling's BinaryWorkload: requests 1..10,
 // W=40, so every solver precondition (r_i <= W) holds.
-std::function<Instance(std::uint64_t)> BinaryWorkload(std::uint32_t clients) {
-  return [clients](std::uint64_t seed) {
+std::function<Instance(std::uint64_t)> BinaryWorkload(std::uint32_t clients,
+                                                      Distance dmax = kNoDistanceLimit) {
+  return [clients, dmax](std::uint64_t seed) {
     gen::BinaryTreeConfig cfg;
     cfg.clients = clients;
     cfg.min_requests = 1;
     cfg.max_requests = 10;
     cfg.min_edge = 1;
     cfg.max_edge = 2;
-    return Instance(gen::GenerateFullBinaryTree(cfg, seed), /*capacity=*/40, kNoDistanceLimit);
+    return Instance(gen::GenerateFullBinaryTree(cfg, seed), /*capacity=*/40, dmax);
   };
 }
 
@@ -91,15 +96,20 @@ core::RunResult SolveTreeBuild(const Instance& instance, std::uint64_t reps) {
   return result;
 }
 
-// The Dinic-based Multiple feasibility oracle run on the placement
-// consisting of every internal node (as in bench_scaling).
+// The placement consisting of every internal node (as in bench_scaling).
+std::vector<NodeId> InternalNodes(const Tree& tree) {
+  std::vector<NodeId> replicas;
+  for (NodeId id = 0; id < tree.Size(); ++id) {
+    if (!tree.IsClient(id)) replicas.push_back(id);
+  }
+  return replicas;
+}
+
+// Dinic routing of the every-internal-node placement.
 core::RunResult SolveFlowOracle(const Instance& instance) {
   core::RunResult result;
   Timer timer;
-  std::vector<NodeId> replicas;
-  for (NodeId id = 0; id < instance.GetTree().Size(); ++id) {
-    if (!instance.GetTree().IsClient(id)) replicas.push_back(id);
-  }
+  std::vector<NodeId> replicas = InternalNodes(instance.GetTree());
   auto routing = flow::RouteMultiple(instance, replicas);
   result.elapsed_ms = timer.ElapsedMs();
   result.feasible = routing.has_value();
@@ -108,6 +118,18 @@ core::RunResult SolveFlowOracle(const Instance& instance) {
     result.solution.assignment = std::move(*routing);
     result.validation = ValidateSolution(instance, Policy::kMultiple, result.solution);
   }
+  return result;
+}
+
+// The tree router's verdict on the every-internal-node placement. It
+// builds no assignment to validate, so the group is timing only.
+core::RunResult SolveMultipleFeasible(const Instance& instance) {
+  core::RunResult result;
+  Timer timer;
+  const std::vector<NodeId> replicas = InternalNodes(instance.GetTree());
+  const bool feasible = flow::MultipleFeasible(instance, replicas);
+  result.elapsed_ms = timer.ElapsedMs();
+  RPT_CHECK(feasible);  // W=40 >= the two children's 20 requests at every parent
   return result;
 }
 
@@ -143,6 +165,7 @@ struct Kernel {
   std::function<core::RunResult(const Instance&)> solve;
   std::vector<runner::Metric> metrics;
   bool metric_only = false;
+  Distance dmax = kNoDistanceLimit;
 };
 
 std::vector<std::size_t> ParseThreadList(const std::string& list) {
@@ -167,7 +190,8 @@ runner::BatchReport RunGrid(const std::vector<Kernel>& kernels, std::size_t solv
   SetSolverThreads(solver_threads);
   runner::BatchRunner batch(runner::BatchOptions{/*threads=*/1});
   for (const Kernel& kernel : kernels) {
-    batch.AddSweep(GroupName(kernel.name, kernel.clients), BinaryWorkload(kernel.clients),
+    batch.AddSweep(GroupName(kernel.name, kernel.clients),
+                   BinaryWorkload(kernel.clients, kernel.dmax),
                    kernel.solve, base_seed, seeds, kernel.metrics, kernel.metric_only);
   }
   return batch.Run();
@@ -234,6 +258,10 @@ int main(int argc, char** argv) {
                      runner::SolveWith(core::Algorithm::kMultipleNodDp),
                      {{"dp_table_mib", DpTableMiB}}});
   kernels.push_back({"flow-oracle", flow_clients, SolveFlowOracle, {}});
+  kernels.push_back(
+      {"multiple-feasible", clients, SolveMultipleFeasible, {}, /*metric_only=*/true});
+  kernels.push_back({"multiple-feasible-dmax", clients, SolveMultipleFeasible, {},
+                     /*metric_only=*/true, /*dmax=*/12});
   if (big_clients != 0) {
     // Million-node tier: the parallel-build headline plus two full solvers
     // proving million-node instances run end-to-end. The DP stays at

@@ -5,12 +5,12 @@
 // exists. Full exhaustive search is out of reach even for m = 3 (29 nodes,
 // ~11 forced servers), so the bench follows the proof itself: the 3m+1
 // forced replica positions are fixed and every m-subset of the gadget nodes
-// n_1..n_2m is tested with a max-flow oracle (npc::RestrictedI6Decision).
+// n_1..n_2m is tested with flow::MultipleFeasible (npc::RestrictedI6Decision).
 //
 // Runs on the batch engine. The oracle needs the whole Reduction (not just
 // the Instance), so each cell is built eagerly on the main thread from its
-// derived seed and captures the reduction; the expensive C(2m, m) max-flow
-// decision still runs on the workers. A decision disagreeing with the
+// derived seed and captures the reduction; the expensive C(2m, m)
+// feasibility decision still runs on the workers. A decision disagreeing with the
 // certified class turns the cell into an error and fails the run.
 //
 // Expected shape: the "decided yes rate" is 1.0 exactly on the yes groups;

@@ -60,7 +60,7 @@ std::function<Instance(std::uint64_t)> CaterpillarWorkload(std::uint32_t clients
   };
 }
 
-// Substrate "solver": the Dinic-based Multiple feasibility oracle run on the
+// Substrate "solver": the Dinic-based Multiple routing run on the
 // placement consisting of every internal node.
 core::RunResult SolveFlowOracle(const Instance& instance) {
   core::RunResult result;

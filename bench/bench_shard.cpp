@@ -91,7 +91,7 @@ struct WorkerRun {
 };
 
 WorkerRun RunWorkerProcess(const std::string& argv0, const std::string& manifest,
-                           const std::string& out_path) {
+                           const std::string& out_path, const shard::CutDemand& demand_of) {
   const std::vector<std::string> args = {argv0, shard::kWorkerFlag, "--phase=solve",
                                          "--manifest=" + manifest, "--out=" + out_path};
   std::vector<char*> argv;
@@ -117,7 +117,7 @@ WorkerRun RunWorkerProcess(const std::string& argv0, const std::string& manifest
   WorkerRun run;
   run.elapsed_ms = timer.ElapsedMs();
   run.rss_kb = static_cast<std::uint64_t>(usage.ru_maxrss);
-  run.btab = shard::ReadBtabFile(out_path);
+  run.btab = shard::ReadBtabFile(out_path, demand_of);
   return run;
 }
 
@@ -213,8 +213,11 @@ int main(int argc, char** argv) {
          << whole_path << "\n";
       RPT_REQUIRE(os.good(), "bench_shard: write failed: " + whole_manifest);
     }
-    const WorkerRun unsharded =
-        RunWorkerProcess(argv[0], whole_manifest, work_dir + "/whole.btab");
+    const WorkerRun unsharded = RunWorkerProcess(
+        argv[0], whole_manifest, work_dir + "/whole.btab", [&instance](NodeId cut) -> Requests {
+          RPT_REQUIRE(cut == 0, "bench_shard: whole-tree table names a cut other than the root");
+          return instance.GetTree().TotalRequests();
+        });
     RPT_CHECK(unsharded.btab.tables.size() == 1);
     const auto& root_table = unsharded.btab.tables[0].table;
     const bool unsharded_feasible = root_table[0] < multiple::NodDpEngine::kInfCost;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "flow/assignment.hpp"
+#include "flow/tree_router.hpp"
 
 namespace rpt::exact {
 
@@ -210,9 +211,14 @@ ExactResult SolveExactSingle(const Instance& instance, const ExactConfig& config
 }
 
 ExactResult SolveExactMultiple(const Instance& instance, const ExactConfig& config) {
-  return Search(instance, config, [&](std::span<const NodeId> replicas) {
-    return flow::RouteMultiple(instance, replicas);
-  });
+  // The router decides feasibility; the first feasible set ends the search,
+  // so Dinic routes exactly the set that is returned.
+  flow::MultipleRouter router(instance);
+  return Search(instance, config,
+                [&](std::span<const NodeId> replicas) -> std::optional<std::vector<ServiceEntry>> {
+                  if (!router.Feasible(replicas)) return std::nullopt;
+                  return flow::RouteMultiple(instance, replicas);
+                });
 }
 
 }  // namespace rpt::exact

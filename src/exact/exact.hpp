@@ -4,8 +4,10 @@
 // corners), so no polynomial optimal algorithm can exist unless P=NP. These
 // solvers enumerate replica placements by increasing cardinality, starting
 // from the lower bound ceil(total/W), and test assignment feasibility —
-// backtracking for Single (whole-client bins), max-flow for Multiple
-// (splittable). The first feasible cardinality is optimal by construction.
+// backtracking for Single (whole-client bins), the exact tree router for
+// Multiple (splittable; flow/tree_router.hpp), which then has the returned
+// set routed by max-flow. The first feasible cardinality is optimal by
+// construction.
 //
 // They exist to certify the approximation ratios of single-gen/single-nod
 // and the optimality of multiple-bin in the property tests and experiment
@@ -47,7 +49,8 @@ struct ExactResult {
 [[nodiscard]] ExactResult SolveExactSingle(const Instance& instance, const ExactConfig& config = {});
 
 /// Optimal Multiple-policy solver (any tree, any dmax); feasibility per
-/// placement is a max-flow computation, so r_i > W is supported.
+/// placement is a tree-router probe that splits requests, so r_i > W is
+/// supported.
 [[nodiscard]] ExactResult SolveExactMultiple(const Instance& instance,
                                              const ExactConfig& config = {});
 

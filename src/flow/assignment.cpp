@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "flow/dinic.hpp"
+#include "flow/tree_router.hpp"
 
 namespace rpt::flow {
 
@@ -72,7 +73,7 @@ std::optional<std::vector<ServiceEntry>> RouteMultiple(const Instance& instance,
 }
 
 bool MultipleFeasible(const Instance& instance, std::span<const NodeId> replicas) {
-  return RouteMultiple(instance, replicas).has_value();
+  return MultipleRouter(instance).Feasible(replicas);
 }
 
 }  // namespace rpt::flow

@@ -1,5 +1,6 @@
-// Flow-based assignment feasibility for a fixed replica placement under the
-// Multiple policy.
+// Request routing for a fixed replica placement under the Multiple policy:
+// RouteMultiple builds the assignment with max-flow, MultipleFeasible only
+// answers yes/no with the tree router.
 #pragma once
 
 #include <optional>
@@ -20,7 +21,9 @@ namespace rpt::flow {
 [[nodiscard]] std::optional<std::vector<ServiceEntry>> RouteMultiple(
     const Instance& instance, std::span<const NodeId> replicas);
 
-/// Convenience: true iff the placement is feasible under Multiple.
+/// True iff the placement is feasible under Multiple. Runs the exact tree
+/// router (flow/tree_router.hpp), not max-flow; probe loops that call it
+/// many times on one instance should hold a MultipleRouter instead.
 [[nodiscard]] bool MultipleFeasible(const Instance& instance, std::span<const NodeId> replicas);
 
 }  // namespace rpt::flow

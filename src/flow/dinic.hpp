@@ -1,10 +1,12 @@
 // Dinic's maximum-flow algorithm.
 //
-// This is the feasibility oracle for the Multiple policy: given a fixed
-// replica placement, requests can be routed iff the max flow in the bipartite
-// client -> eligible-server network (source -> client with capacity r_i,
-// server -> sink with capacity W) saturates all client arcs. The exact
-// Multiple solver and the validator-driven tests both rely on it.
+// flow::RouteMultiple runs it to build the Multiple-policy assignment for a
+// fixed replica placement: requests can be routed iff the max flow in the
+// bipartite client -> eligible-server network (source -> client with
+// capacity r_i, server -> sink with capacity W) saturates all client arcs,
+// and the per-arc flows are the assignment. Yes/no feasibility probes use
+// the exact tree router (flow/tree_router.hpp) instead; the tests hold the
+// router to this network's verdict.
 //
 // Complexity O(V^2 E) in general, O(E sqrt(V)) on unit-ish bipartite graphs —
 // far more than enough for the instance sizes the exact solver enumerates.

@@ -6,11 +6,11 @@
 //
 // Strategy: start from the best applicable constructive solution
 // (multiple-bin on binary trees, the greedy elsewhere), prune redundant
-// replicas with the max-flow oracle, then iterate relocation moves: try to
+// replicas (PruneReplicas), then iterate relocation moves: try to
 // move one replica to a nearby free node (its ancestors or the nodes of its
 // old neighbourhood) and re-prune; accept whenever the replica count drops.
-// Every candidate placement is certified by the flow oracle, so the result
-// is always feasible.
+// Every candidate placement is certified by flow::MultipleFeasible and
+// routed by max-flow, so the result is always feasible.
 #pragma once
 
 #include "model/instance.hpp"
@@ -24,7 +24,7 @@ struct LocalSearchOptions {
   std::uint32_t max_rounds = 3;
   /// Add-then-prune moves always consider free internal nodes; client nodes
   /// are also considered when the tree has at most this many nodes (client
-  /// adds matter on small trees but multiply the flow-oracle cost on big
+  /// adds matter on small trees but multiply the probe and routing cost on big
   /// ones).
   std::size_t client_add_limit = 64;
 };

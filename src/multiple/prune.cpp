@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "flow/assignment.hpp"
+#include "flow/tree_router.hpp"
 
 namespace rpt::multiple {
 
@@ -24,8 +25,10 @@ PruneResult PruneReplicas(const Instance& instance, const Solution& solution) {
     return va < vb;
   });
 
-  auto routing = flow::RouteMultiple(instance, replicas);
-  RPT_REQUIRE(routing.has_value(), "PruneReplicas: input placement is not routable");
+  // Probes answer yes/no with the tree router; Dinic routes only the final
+  // set, which is the candidate of the last accepted removal (or the input).
+  flow::MultipleRouter router(instance);
+  RPT_REQUIRE(router.Feasible(replicas), "PruneReplicas: input placement is not routable");
 
   PruneResult result;
   bool changed = true;
@@ -37,10 +40,8 @@ PruneResult PruneReplicas(const Instance& instance, const Solution& solution) {
       for (std::size_t j = 0; j < replicas.size(); ++j) {
         if (j != i) candidate.push_back(replicas[j]);
       }
-      auto sub_routing = flow::RouteMultiple(instance, candidate);
-      if (sub_routing.has_value()) {
+      if (router.Feasible(candidate)) {
         replicas = std::move(candidate);
-        routing = std::move(sub_routing);
         ++result.removed;
         changed = true;
         break;  // restart: loads shifted, earlier candidates may free up
@@ -48,6 +49,8 @@ PruneResult PruneReplicas(const Instance& instance, const Solution& solution) {
     }
   }
 
+  auto routing = flow::RouteMultiple(instance, replicas);
+  RPT_CHECK(routing.has_value());
   result.solution.replicas = std::move(replicas);
   result.solution.assignment = std::move(*routing);
   result.solution.Canonicalize();

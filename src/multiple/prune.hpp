@@ -9,7 +9,8 @@
 // binary instances we observed no deviation (0/500 per configuration).
 //
 // PruneReplicas greedily removes replicas while the remaining placement can
-// still route all requests (max-flow oracle), then recomputes the routing.
+// still route all requests (probed with the exact tree router,
+// flow/tree_router.hpp), then routes the final set once with max-flow.
 // It never increases the count and in our sweeps repairs almost every
 // deviation (17 of 18 over 2500 instances). No optimality guarantee.
 #pragma once

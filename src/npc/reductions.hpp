@@ -53,10 +53,10 @@ struct Reduction {
 /// Decides the I6 instance the way the proof of Theorem 5 does: the 3m+1
 /// replicas forced by the construction (the chain n_{2m+1}..n_{5m-1} and the
 /// oversized client) are fixed, and every m-subset of the gadget nodes
-/// n_1..n_2m is tried with a max-flow feasibility check. Returns true iff
-/// some completion with exactly 4m replicas serves all requests — which the
-/// paper proves happens iff the source 2-Partition-Equal instance is a
-/// yes-instance. Cost: C(2m, m) max-flow runs.
+/// n_1..n_2m is tried with the exact Multiple feasibility check. Returns
+/// true iff some completion with exactly 4m replicas serves all requests —
+/// which the paper proves happens iff the source 2-Partition-Equal instance
+/// is a yes-instance. Cost: C(2m, m) flow::MultipleFeasible probes.
 [[nodiscard]] bool RestrictedI6Decision(const Reduction& reduction);
 
 /// Shifts a 2-Partition-Equal instance by a uniform even constant so that

@@ -64,10 +64,11 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
   return payload;
 }
 
-void DecodeTablePayload(ByteReader& in, BtabFile& file) {
+void DecodeTablePayload(ByteReader& in, const CutDemand& demand_of, BtabFile& file) {
   BoundaryTable table;
   table.cut = in.U32();
   table.demand = in.U64();
+  if (table.demand != demand_of(table.cut)) Fail("table demand does not match its cut subtree");
   if (table.demand > kMaxBtabDemand) Fail("table demand exceeds the sanity cap");
   table.subtree_nodes = in.U32();
   table.table_entries = in.U64();
@@ -96,6 +97,7 @@ void DecodeTablePayload(ByteReader& in, BtabFile& file) {
     hi = std::min(hi, static_cast<std::size_t>(u));
   }
   if (table.table.back() != vmin) Fail("table staircase does not reach its minimum");
+  if (table.table[inv.back()] != vmax) Fail("table staircase does not reach its maximum");
   file.tables.push_back(std::move(table));
 }
 
@@ -166,7 +168,7 @@ std::string EncodeBtab(const BtabFile& file) {
   return out;
 }
 
-BtabFile DecodeBtab(std::string_view bytes) {
+BtabFile DecodeBtab(std::string_view bytes, const CutDemand& demand_of) {
   if (bytes.size() < kMagicBytes || bytes.compare(0, kMagicBytes, kBtabMagic, kMagicBytes) != 0) {
     Fail("bad magic");
   }
@@ -193,7 +195,9 @@ BtabFile DecodeBtab(std::string_view bytes) {
       ByteReader in = next_frame("record");
       const std::uint8_t kind = in.U8();
       if (kind == kKindTable) {
-        DecodeTablePayload(in, file);
+        // The encoder writes every table before any fragment.
+        if (!file.fragments.empty()) Fail("table record after a fragment record");
+        DecodeTablePayload(in, demand_of, file);
       } else if (kind == kKindFragment) {
         DecodeFragmentPayload(in, file);
       } else {
@@ -216,13 +220,13 @@ void WriteBtabFile(const std::string& path, const BtabFile& file) {
   RPT_REQUIRE(os.good(), "rpt-btab: write failed: " + path);
 }
 
-BtabFile ReadBtabFile(const std::string& path) {
+BtabFile ReadBtabFile(const std::string& path, const CutDemand& demand_of) {
   std::ifstream is(path, std::ios::binary);
   RPT_REQUIRE(is.good(), "rpt-btab: cannot open for reading: " + path);
   std::ostringstream buffer;
   buffer << is.rdbuf();
   RPT_REQUIRE(!is.bad(), "rpt-btab: read failed: " + path);
-  return DecodeBtab(buffer.str());
+  return DecodeBtab(buffer.str(), demand_of);
 }
 
 }  // namespace rpt::shard

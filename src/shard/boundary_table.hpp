@@ -8,7 +8,7 @@
 // Layout (all integers little-endian):
 //   magic   8 bytes  "RPTBTAB1"
 //   header  framed record: u32 version (=1) | u32 record_count | u64 body_bytes
-//   body    record_count framed records
+//   body    record_count framed records, every TABLE before any FRAGMENT
 // and a framed record is
 //   u32 len | u32 crc | payload[len]
 // with crc = CRC-32 of the payload (support/crc32.hpp — the WAL's exact
@@ -27,7 +27,9 @@
 // corpus): DecodeBtab THROWS InvalidArgument on any damaged input — short
 // magic, truncated frame, CRC mismatch, record/byte-count mismatch, payload
 // that over- or under-runs its frame, trailing bytes, or any field that
-// fails semantic validation. A btab is a complete artifact, not an
+// fails semantic validation — including a TABLE record whose demand is not
+// the one the reader expects for its cut, refused before the table is
+// materialized. A btab is a complete artifact, not an
 // append-only log: there is no "valid prefix" to salvage, so unlike the WAL
 // even a torn tail refuses to load — the coordinator treats it as a failed
 // worker and re-dispatches. tests/test_shard.cpp drives the
@@ -35,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,9 +57,15 @@ inline constexpr char kBtabMagic[8] = {'R', 'P', 'T', 'B', 'T', 'A', 'B', '1'};
 inline constexpr std::uint32_t kMaxBtabRecordBytes = 1u << 28;
 
 /// Sanity cap on a shipped table's demand domain (entries materialized =
-/// demand + 1; the cap keeps a corrupt-but-CRC-lucky demand field from
-/// asking the decoder for an absurd allocation).
+/// demand + 1), on top of the reader's expected demand.
 inline constexpr std::uint64_t kMaxBtabDemand = std::uint64_t{1} << 31;
+
+/// The subtree demand the reader expects for a cut id — the coordinator
+/// answers from the megatree's SubtreeRequests. The decoder asks it for
+/// every TABLE record before allocating the table, so a record whose demand
+/// field lies under a valid CRC costs nothing. Throws InvalidArgument for a
+/// cut the reader does not know.
+using CutDemand = std::function<Requests(NodeId cut)>;
 
 /// Phase-1 export: one cut subtree's boundary table.
 struct BoundaryTable {
@@ -90,13 +99,14 @@ struct BtabFile {
 [[nodiscard]] std::string EncodeBtab(const BtabFile& file);
 
 /// Parses rpt-btab v1 bytes; throws InvalidArgument on ANY damage (see the
-/// corruption contract above).
-[[nodiscard]] BtabFile DecodeBtab(std::string_view bytes);
+/// corruption contract above) and on a table whose demand differs from
+/// `demand_of(table.cut)`.
+[[nodiscard]] BtabFile DecodeBtab(std::string_view bytes, const CutDemand& demand_of);
 
 /// Writes the encoded file to `path`; throws InvalidArgument on I/O error.
 void WriteBtabFile(const std::string& path, const BtabFile& file);
 
 /// Reads and decodes `path`; throws InvalidArgument on I/O error or damage.
-[[nodiscard]] BtabFile ReadBtabFile(const std::string& path);
+[[nodiscard]] BtabFile ReadBtabFile(const std::string& path, const CutDemand& demand_of);
 
 }  // namespace rpt::shard

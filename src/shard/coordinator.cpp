@@ -92,6 +92,12 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
     slices.emplace(cut.node, tree.SliceSubtree(cut.node));
     shard_of_cut.emplace(cut.node, cut.shard);
   }
+  // Every decode checks a table's demand against its cut before it
+  // materializes the table.
+  const CutDemand cut_demand = [&](NodeId cut) -> Requests {
+    RPT_REQUIRE(shard_of_cut.contains(cut), "rpt-shard: boundary table names an unknown cut");
+    return tree.SubtreeRequests(cut);
+  };
 
   // Subprocess mode: materialize the file exchange up front — one slice file
   // per cut, one manifest per shard. Budgets files follow after the merge.
@@ -148,10 +154,10 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
     }
   };
 
-  const auto round_trip = [&result](const BtabFile& produced) -> BtabFile {
+  const auto round_trip = [&result, &cut_demand](const BtabFile& produced) -> BtabFile {
     const std::string bytes = EncodeBtab(produced);
     result.stats.boundary_bytes += bytes.size();
-    return DecodeBtab(bytes);
+    return DecodeBtab(bytes, cut_demand);
   };
 
   // Subprocess dispatch: fan out one worker per pending shard, wait4 them all
@@ -197,7 +203,7 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
         std::string error;
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
           try {
-            per_shard[worker.shard] = ReadBtabFile(worker.out_path);
+            per_shard[worker.shard] = ReadBtabFile(worker.out_path, cut_demand);
             result.stats.boundary_bytes += std::filesystem::file_size(worker.out_path);
           } catch (const std::exception& e) {
             error = e.what();
@@ -319,8 +325,6 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
       RPT_REQUIRE(shard_of_cut.at(table.cut) == s,
                   "rpt-shard: boundary table arrived from the wrong shard");
       RPT_REQUIRE(imported[table.cut] == 0, "rpt-shard: duplicate boundary table");
-      RPT_REQUIRE(table.demand == tree.SubtreeRequests(table.cut),
-                  "rpt-shard: boundary table demand does not match the cut subtree");
       imported[table.cut] = 1;
       result.stats.worker_table_entries += table.table_entries;
       result.stats.worker_convolve_cells += table.convolve_cells;

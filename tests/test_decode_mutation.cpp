@@ -9,12 +9,14 @@
 // Any other exception fails the case; a crash, overrun or undefined
 // behaviour shows under the sanitizer build, which runs this binary by name.
 //
-// WAL records are resealed after mutation (length and CRC recomputed) so
-// the payload decoder, not just the frame check, sees the damage. btab
-// files are not: a resealed table record may legally claim a demand up to
-// kMaxBtabDemand, whose materialization is an 8 GiB allocation.
+// WAL records and btab files are resealed after mutation (lengths, CRCs
+// and the btab header's counts recomputed) so the payload decoders, not
+// just the frame checks, see the damage. A resealed btab table record can
+// claim any demand; the decoder refuses one that differs from the reader's
+// expectation before it allocates the table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -46,7 +48,8 @@ struct Format {
   /// format refused them with its typed error or nullopt. Anything else
   /// escapes.
   std::function<std::optional<std::string>(const std::string&)> decode;
-  bool reseal = false;  ///< recompute a record frame's len + CRC after mutating
+  /// Makes the frames of a mutated input consistent again, or nothing.
+  std::function<void(std::string&)> reseal = {};
 };
 
 std::string Mutate(Rng& rng, const std::vector<std::string>& seeds) {
@@ -77,15 +80,49 @@ std::string Mutate(Rng& rng, const std::vector<std::string>& seeds) {
   return bytes;
 }
 
-/// Rewrites a record frame's len and CRC to match whatever payload follows.
-void Reseal(std::string& record) {
-  if (record.size() < 8) return;
-  const auto len = static_cast<std::uint32_t>(record.size() - 8);
-  const std::uint32_t crc = support::Crc32(record.data() + 8, len);
+void PutU32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint32_t GetU32(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
-    record[i] = static_cast<char>(len >> (8 * i));
-    record[4 + i] = static_cast<char>(crc >> (8 * i));
+    v |= std::uint32_t{static_cast<std::uint8_t>(bytes[at + i])} << (8 * i);
   }
+  return v;
+}
+
+/// Rewrites the len + CRC of the frame at `at` to cover `len` payload bytes.
+void ResealFrame(std::string& bytes, std::size_t at, std::uint32_t len) {
+  PutU32(bytes, at, len);
+  PutU32(bytes, at + 4, support::Crc32(bytes.data() + at + 8, len));
+}
+
+/// Rewrites a record frame's len and CRC to match whatever payload follows.
+void ResealRecord(std::string& record) {
+  if (record.size() >= 8) ResealFrame(record, 0, static_cast<std::uint32_t>(record.size() - 8));
+}
+
+/// Walks a btab file's record frames after the 8-byte magic and 24-byte
+/// header frame, clamping each length to the bytes left and resealing it,
+/// then rewrites the header's record count and body size to the walk.
+void ResealBtab(std::string& file) {
+  constexpr std::size_t kBody = 8 + 8 + 16;
+  if (file.size() < kBody) return;
+  std::uint32_t records = 0;
+  std::size_t pos = kBody;
+  while (file.size() - pos >= 8) {
+    const auto len =
+        static_cast<std::uint32_t>(std::min<std::size_t>(GetU32(file, pos), file.size() - pos - 8));
+    ResealFrame(file, pos, len);
+    pos += 8 + len;
+    ++records;
+  }
+  PutU32(file, 16 + 4, records);
+  const std::uint64_t body = file.size() - kBody;
+  PutU32(file, 16 + 8, static_cast<std::uint32_t>(body));
+  PutU32(file, 16 + 12, static_cast<std::uint32_t>(body >> 32));
+  ResealFrame(file, 8, 16);
 }
 
 void Drive(const Format& format) {
@@ -94,7 +131,7 @@ void Drive(const Format& format) {
   int refused = 0;
   for (int iter = 0; iter < kIterations; ++iter) {
     std::string bytes = Mutate(rng, format.seeds);
-    if (format.reseal) Reseal(bytes);
+    if (format.reseal) format.reseal(bytes);
     std::optional<std::string> again;
     try {
       again = format.decode(bytes);
@@ -148,7 +185,7 @@ std::vector<std::string> WalRecords() {
 }
 
 TEST(DecodeMutation, WalRecordAllEventKindsAndEpoch) {
-  Drive({WalRecords(), DecodeWalRecord, /*reseal=*/true});
+  Drive({WalRecords(), DecodeWalRecord, ResealRecord});
 }
 
 TEST(DecodeMutation, BtabTableAndFragment) {
@@ -175,11 +212,15 @@ TEST(DecodeMutation, BtabTableAndFragment) {
           shard::EncodeBtab(shard::BtabFile{})},
          [](const std::string& bytes) -> std::optional<std::string> {
            try {
-             return shard::EncodeBtab(shard::DecodeBtab(bytes));
+             return shard::EncodeBtab(shard::DecodeBtab(bytes, [](NodeId cut) -> Requests {
+               RPT_REQUIRE(cut == 23, "unknown cut");
+               return 6;
+             }));
            } catch (const InvalidArgument&) {
              return std::nullopt;
            }
-         }});
+         },
+         ResealBtab});
 }
 
 TEST(DecodeMutation, EveryReplFrameKind) {

@@ -23,6 +23,7 @@
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/thread_pool.hpp"
+#include "support/wire.hpp"
 
 namespace rpt::shard {
 namespace {
@@ -185,9 +186,15 @@ BtabFile SampleBtab() {
   return file;
 }
 
+/// The reader's expectation for SampleBtab: both tables cut demand 6.
+Requests SampleDemand(NodeId cut) {
+  RPT_REQUIRE(cut == 17 || cut == 23, "test: unknown cut");
+  return 6;
+}
+
 TEST(BoundaryTableCodec, RoundTripsTablesAndFragments) {
   const BtabFile file = SampleBtab();
-  const BtabFile back = DecodeBtab(EncodeBtab(file));
+  const BtabFile back = DecodeBtab(EncodeBtab(file), SampleDemand);
   ASSERT_EQ(back.tables.size(), file.tables.size());
   for (std::size_t i = 0; i < file.tables.size(); ++i) {
     EXPECT_EQ(back.tables[i].cut, file.tables[i].cut);
@@ -209,7 +216,8 @@ TEST(BoundaryTableCodec, TruncationAtEveryByteFailsLoudly) {
   const std::string bytes = EncodeBtab(SampleBtab());
   ASSERT_GT(bytes.size(), 0u);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW((void)DecodeBtab(std::string_view(bytes).substr(0, len)), InvalidArgument)
+    EXPECT_THROW((void)DecodeBtab(std::string_view(bytes).substr(0, len), SampleDemand),
+                 InvalidArgument)
         << "prefix length " << len;
   }
 }
@@ -220,7 +228,7 @@ TEST(BoundaryTableCodec, EveryBitFlipFailsLoudly) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string damaged = bytes;
       damaged[pos] = static_cast<char>(damaged[pos] ^ (1 << bit));
-      EXPECT_THROW((void)DecodeBtab(damaged), InvalidArgument)
+      EXPECT_THROW((void)DecodeBtab(damaged, SampleDemand), InvalidArgument)
           << "byte " << pos << " bit " << bit;
     }
   }
@@ -247,10 +255,57 @@ TEST(BoundaryTableCodec, LyingFragmentCountsUnderValidCrcThrowInvalidArgument) {
   };
   for (const std::size_t at : {replicas_at, entries_at, forwarded_at}) {
     for (const std::uint32_t lie : {3u, 0x00FFFFFFu, 0xFFFFFFFFu}) {
-      EXPECT_THROW((void)DecodeBtab(lying(at, lie)), InvalidArgument)
+      EXPECT_THROW((void)DecodeBtab(lying(at, lie), SampleDemand), InvalidArgument)
           << "count at byte " << at << " = " << lie;
     }
   }
+}
+
+/// A one-table btab built field by field, with valid frames and CRCs.
+std::string RawTableBtab(NodeId cut, std::uint64_t demand, std::uint32_t vmin,
+                         std::uint32_t vmax, const std::vector<std::uint32_t>& inv) {
+  std::string payload;
+  support::wire::ByteWriter record(payload);
+  record.U8(1).U32(cut).U64(demand).U32(4).U64(7).U64(9).U32(vmin).U32(vmax);
+  for (const std::uint32_t v : inv) record.U32(v);
+  std::string body;
+  support::wire::AppendFrame(body, payload);
+  std::string header;
+  support::wire::ByteWriter(header).U32(1).U32(1).U64(body.size());
+  std::string out(kBtabMagic, sizeof(kBtabMagic));
+  support::wire::AppendFrame(out, header);
+  return out + body;
+}
+
+// The leading_inf sample table, {inf, inf, 2, 1, 1, 0, 0}, as raw fields.
+TEST(BoundaryTableCodec, RawTableMatchesTheEncoder) {
+  const std::string raw = RawTableBtab(23, 6, 0, 2, {5, 3, 2});
+  BtabFile file;
+  file.tables.push_back(SampleBtab().tables[1]);
+  EXPECT_EQ(raw, EncodeBtab(file));
+  EXPECT_EQ(DecodeBtab(raw, SampleDemand).tables[0].table, file.tables[0].table);
+}
+
+// A table whose demand is not the reader's expectation for its cut is
+// refused before it is materialized — a 2^30 lie under a valid CRC costs
+// no allocation — and so is a cut the reader does not know.
+TEST(BoundaryTableCodec, DemandOtherThanTheCutsIsRefusedBeforeAllocation) {
+  for (const std::uint64_t lie : {std::uint64_t{5}, std::uint64_t{7}, std::uint64_t{1} << 30,
+                                  kMaxBtabDemand, ~std::uint64_t{0}}) {
+    EXPECT_THROW((void)DecodeBtab(RawTableBtab(23, lie, 0, 2, {5, 3, 2}), SampleDemand),
+                 InvalidArgument)
+        << "demand " << lie;
+  }
+  EXPECT_THROW((void)DecodeBtab(RawTableBtab(99, 6, 0, 2, {5, 3, 2}), SampleDemand),
+               InvalidArgument);
+}
+
+// The inverse form has one encoding per staircase: a top cost that no entry
+// takes (inv repeats at the top) is refused, not decoded to a table that
+// re-encodes differently.
+TEST(BoundaryTableCodec, StaircaseTopThatNoEntryTakesIsRefused) {
+  EXPECT_THROW((void)DecodeBtab(RawTableBtab(23, 6, 0, 3, {5, 3, 2, 2}), SampleDemand),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
