@@ -11,9 +11,9 @@
 // --det-json for the CI thread-count-invariance diff.
 //
 // Intra-instance parallelism: cells run one at a time (a single batch
-// worker), and --threads sets the *solver pool* width instead — the
-// parallel TreeBuilder::Build and the level-synchronous Multiple-NoD DP
-// spread one instance across that many threads. --thread-sweep "1,2,4,8"
+// worker), and --threads sets the *solver pool* width instead, for any
+// kernel that forks on it (none does today: TreeBuilder::Build and the
+// Multiple-NoD DP measured faster serial). --thread-sweep "1,2,4,8"
 // repeats the whole kernel grid per width and emits per-kernel speedup
 // columns (vs the first width) into the JSON's "thread_sweep" section.
 //
@@ -26,8 +26,9 @@
 //   single-nod         Algorithm 2 on a full binary tree
 //   single-push        push-toward-root improvement loop
 //   multiple-bin       Algorithm 3 on a full binary tree
-//   multiple-nod-dp    exact Multiple-NoD tree knapsack DP (the dp_table_mib
-//                      metric is the analytic table footprint of the DP)
+//   multiple-nod-dp    exact Multiple-NoD tree knapsack DP at --dp-clients
+//                      and at --clients (the dp_table_mib metric is the
+//                      footprint of the tables the DP engine stored)
 //   flow-oracle        Dinic feasibility routing with a replica at every
 //                      internal node
 //   multiple-feasible  the tree router (flow::MultipleFeasible) on the same
@@ -43,6 +44,7 @@
 #include "flow/assignment.hpp"
 #include "flow/tree_router.hpp"
 #include "gen/random_tree.hpp"
+#include "multiple/multiple_nod_dp.hpp"
 #include "runner/batch_runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -133,26 +135,13 @@ core::RunResult SolveMultipleFeasible(const Instance& instance) {
   return result;
 }
 
-// Analytic peak table footprint of the Multiple-NoD DP, in MiB: the final
-// F table of every node (subtree total + 1 entries) plus, per internal
-// node, the stored prefix tables G_0..G_k used for backtracking. Entries
-// are 4-byte costs. Identical before and after the scratch-buffer rework —
-// the *stored* tables are demand-bounded either way — so it tracks the
-// memory the DP cannot avoid holding.
+// Footprint of the Multiple-NoD DP's stored tables, in MiB: the inverse
+// staircase entries (8-byte forwarded amounts) the engine wrote in its one
+// forward pass, from its own work counters. The tables live until the
+// backtrack ends, so this is the memory the DP holds at its peak.
 double DpTableMiB(const Instance& instance, const core::RunResult&) {
-  const Tree& tree = instance.GetTree();
-  std::uint64_t entries = 0;
-  for (NodeId id = 0; id < tree.Size(); ++id) {
-    entries += static_cast<std::uint64_t>(tree.SubtreeRequests(id)) + 1;  // F table
-    if (tree.IsClient(id)) continue;
-    std::uint64_t below = 0;
-    entries += 1;  // G_0 = {0}
-    for (const NodeId child : tree.Children(id)) {
-      below += tree.SubtreeRequests(child);
-      entries += below + 1;  // G_k
-    }
-  }
-  return static_cast<double>(entries) * 4.0 / (1024.0 * 1024.0);
+  const auto dp = multiple::SolveMultipleNodDp(instance);
+  return static_cast<double>(dp.stats.table_entries * sizeof(Requests)) / (1024.0 * 1024.0);
 }
 
 std::string GroupName(const std::string& kernel, std::uint32_t clients) {
@@ -257,6 +246,11 @@ int main(int argc, char** argv) {
   kernels.push_back({"multiple-nod-dp", dp_clients,
                      runner::SolveWith(core::Algorithm::kMultipleNodDp),
                      {{"dp_table_mib", DpTableMiB}}});
+  if (clients != dp_clients) {
+    kernels.push_back({"multiple-nod-dp", clients,
+                       runner::SolveWith(core::Algorithm::kMultipleNodDp),
+                       {{"dp_table_mib", DpTableMiB}}});
+  }
   kernels.push_back({"flow-oracle", flow_clients, SolveFlowOracle, {}});
   kernels.push_back(
       {"multiple-feasible", clients, SolveMultipleFeasible, {}, /*metric_only=*/true});
@@ -264,10 +258,8 @@ int main(int argc, char** argv) {
                      /*metric_only=*/true, /*dmax=*/12});
   if (big_clients != 0) {
     // Million-node tier: the parallel-build headline plus two full solvers
-    // proving million-node instances run end-to-end. The DP stays at
-    // --dp-clients — its stored tables are demand-bounded but still grow
-    // with total requests times depth, far past a sensible bench footprint
-    // at a million clients.
+    // proving million-node instances run end-to-end. The DP runs at
+    // --dp-clients and --clients only.
     kernels.push_back({"tree-build", big_clients,
                        [big_build_reps](const Instance& instance) {
                          return SolveTreeBuild(instance, big_build_reps);

@@ -219,9 +219,11 @@ int main(int argc, char** argv) {
           return instance.GetTree().TotalRequests();
         });
     RPT_CHECK(unsharded.btab.tables.size() == 1);
-    const auto& root_table = unsharded.btab.tables[0].table;
-    const bool unsharded_feasible = root_table[0] < multiple::NodDpEngine::kInfCost;
-    const std::uint64_t unsharded_cost = unsharded_feasible ? root_table[0] : 0;
+    const auto& root_table = unsharded.btab.tables[0];
+    RPT_CHECK(root_table.vmin == 0);
+    const auto root_cost = multiple::NodDpEngine::CostAt(root_table.inv, 0);
+    const bool unsharded_feasible = root_cost < multiple::NodDpEngine::kInfCost;
+    const std::uint64_t unsharded_cost = unsharded_feasible ? root_cost : 0;
 
     // Sharded leg: the real coordinator fanning out worker processes.
     shard::ShardOptions options;

@@ -11,8 +11,7 @@
 // owns a long-lived NodDpEngine (topology view + DP tables + prefix tables),
 // applies each UpdateEvent batch, and re-runs the forward pass on the union
 // of dirty root chains — every untouched subtree's tables are reused
-// verbatim, and independent dirty chains recompute in parallel
-// (ParallelForChunked on the process-wide SolverPool()).
+// verbatim.
 //
 // Topology: the solver starts on the instance's immutable CSR Tree. The
 // first batch containing a topology event promotes it to a private
@@ -32,7 +31,7 @@
 //    solution back to view ids) and compare. Enforced by
 //    tests/test_incremental.cpp at solver-pool widths 1 and 4.
 //  * Determinism — solutions and all stats except wall time are identical
-//    at any thread count (the engine's level sweeps are deterministic).
+//    at any thread count (the engine's sweeps are deterministic).
 //  * Atomicity — Apply() validates the whole batch against the current
 //    state before committing anything; on InvalidArgument the solver state
 //    is unchanged.

@@ -1,58 +1,67 @@
 #include "multiple/nod_dp_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
-#include "support/thread_pool.hpp"
-
 namespace rpt::multiple {
-
-namespace detail {
-
-void MergeMinShift(std::uint32_t* __restrict__ out, const std::uint32_t* __restrict__ rhs,
-                   std::uint32_t shift, std::size_t n) noexcept {
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t candidate = rhs[j] + shift;
-    out[j] = out[j] < candidate ? out[j] : candidate;
-  }
-}
-
-}  // namespace detail
 
 namespace {
 
 using Cost = NodDpEngine::Cost;
 constexpr Cost kInf = NodDpEngine::kInfCost;
+constexpr Requests kEmptyProduct[1] = {0};  // G_0: forward 0 at cost 0
 
-void MakeMonotone(NodDpEngine::CostTable& table) {
-  for (std::size_t u = 1; u < table.size(); ++u) table[u] = std::min(table[u], table[u - 1]);
+// Infimal convolution of two convex inverse staircases: their slope lists
+// merged in non-increasing order, out[c] = a[i] + b[j] after c steps.
+// Writes len(a) + len(b) + 1 entries.
+void MergeSlopes(std::span<const Requests> a, std::span<const Requests> b, Requests* out) {
+  const std::size_t la = a.size() - 1;
+  const std::size_t lb = b.size() - 1;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  out[0] = a[0] + b[0];
+  for (std::size_t c = 1; c <= la + lb; ++c) {
+    if (j == lb || (i < la && a[i] - a[i + 1] >= b[j] - b[j + 1])) {
+      ++i;
+    } else {
+      ++j;
+    }
+    out[c] = a[i] + b[j];
+  }
+}
+
+// The node's own replica step, F(u) = min(G(u), 1 + G(u + W)) closed under
+// monotonicity: one slope W inserted among G's slopes, the sum clipped at
+// the demand G[0]. Returns len(F) <= len(G) + 1.
+std::size_t InsertCapacity(std::span<const Requests> g, Requests capacity, Requests* out) {
+  const std::size_t lg = g.size() - 1;
+  std::size_t i = 0;
+  std::size_t len = 0;
+  bool inserted = false;
+  out[0] = g[0];
+  while (out[len] > 0) {
+    Requests slope = 0;
+    if (!inserted && (i == lg || capacity >= g[i] - g[i + 1])) {
+      slope = capacity;
+      inserted = true;
+    } else if (i < lg) {
+      slope = g[i] - g[i + 1];
+      ++i;
+    } else {
+      break;
+    }
+    out[len + 1] = out[len] > slope ? out[len] - slope : 0;
+    ++len;
+  }
+  return len;
 }
 
 }  // namespace
 
-// Inverse staircase of a monotone non-increasing table: inv[c - vmin] is the
-// smallest u with table[u] <= c, for every integer cost c in [vmin, vmax]
-// (vmax = largest finite value, i.e. table[first_finite]; vmin =
-// table.back()). Leading kInf runs are skipped entirely — first_finite marks
-// where the finite staircase starts. The inv array lives in the per-chunk
-// scratch arena, reset before every merge.
-void NodDpEngine::Staircase::BuildFrom(const CostTable& table, Arena& arena) {
-  std::size_t f = 0;
-  while (f < table.size() && table[f] >= kInf) ++f;
-  RPT_CHECK(f < table.size());  // every DP table has a finite entry
-  first_finite = f;
-  vmax = table[f];
-  vmin = table.back();
-  inv = arena.AllocSpan<std::uint32_t>(static_cast<std::size_t>(vmax - vmin) + 1);
-  std::fill(inv.begin(), inv.end(), static_cast<std::uint32_t>(f));
-  Cost cur = vmax;
-  for (std::size_t u = f + 1; u < table.size(); ++u) {
-    while (cur > table[u]) {
-      --cur;
-      inv[cur - vmin] = static_cast<std::uint32_t>(u);
-    }
-  }
+Cost NodDpEngine::CostAt(std::span<const Requests> inv, Requests u) {
+  if (u < inv.back()) return kInf;
+  const auto it = std::partition_point(inv.begin(), inv.end(), [u](Requests x) { return x > u; });
+  return static_cast<Cost>(it - inv.begin());
 }
 
 NodDpEngine::NodDpEngine(TopologyView view, Requests capacity)
@@ -60,29 +69,15 @@ NodDpEngine::NodDpEngine(TopologyView view, Requests capacity)
       capacity_(capacity),
       demand_(view.Size()),
       subtree_demand_(view.Size()),
-      f_(view.Size()),
-      prefixes_(view.Size()),
+      block_(view.Size()),
+      f_len_(view.Size(), 0),
       last_dirty_pass_(view.Size(), 0),
-      force_prefix_rebuild_(view.Size(), 0),
-      frag_(view.Size()) {
+      force_prefix_rebuild_(view.Size(), 0) {
   RPT_REQUIRE(capacity_ > 0, "NodDpEngine: capacity must be positive");
   for (NodeId id = 0; id < view_.Size(); ++id) {
     if (!view_.IsLive(id)) continue;
     demand_[id] = view_.RequestsOf(id);
     subtree_demand_[id] = view_.SubtreeRequests(id);
-  }
-  RebuildLevels();
-}
-
-void NodDpEngine::RebuildLevels() {
-  std::uint32_t max_depth = 0;
-  for (NodeId id = 0; id < view_.Size(); ++id) {
-    if (view_.IsLive(id)) max_depth = std::max(max_depth, view_.Depth(id));
-  }
-  all_levels_.assign(static_cast<std::size_t>(max_depth) + 1, {});
-  dirty_levels_.assign(all_levels_.size(), {});
-  for (NodeId id = 0; id < view_.Size(); ++id) {
-    if (view_.IsLive(id)) all_levels_[view_.Depth(id)].push_back(id);
   }
 }
 
@@ -104,8 +99,8 @@ void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> child
   const std::size_t n = view_.Size();
   demand_.resize(n, 0);
   subtree_demand_.resize(n, 0);
-  f_.resize(n);
-  prefixes_.resize(n);
+  block_.resize(n);
+  f_len_.resize(n, 0);
   last_dirty_pass_.resize(n, 0);
   force_prefix_rebuild_.resize(n, 0);
   frag_.resize(n);
@@ -122,8 +117,8 @@ void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> child
     // Free the dead subtree's tables and reclaim its fragment budget; its
     // slots stay allocated (ids are never reused) but no live traversal
     // reaches them.
-    f_[dead] = CostTable{};
-    prefixes_[dead] = {};
+    block_[dead] = InvTable{};
+    f_len_[dead] = 0;
     frag_entries_total_ -= frag_[dead].EntryCount();
     frag_[dead] = FragmentCache{};
     last_dirty_pass_[dead] = 0;
@@ -137,7 +132,6 @@ void NodDpEngine::ApplyTopology(TopologyView view, std::span<const NodeId> child
     // child is dirty, so the normal first-dirty-child scan is exact.
     force_prefix_rebuild_[parent] = pass_ + 1;
   }
-  RebuildLevels();
 }
 
 void NodDpEngine::SetCapacity(Requests capacity) {
@@ -147,182 +141,135 @@ void NodDpEngine::SetCapacity(Requests capacity) {
   computed_ = false;  // every transition depends on W: full recompute needed
 }
 
-// Monotone min-plus convolution, out[k] = min_{i+j<=k} a[i] + b[j], written
-// into `out` (sized |a|+|b|-1; kInf where no finite split exists). Because
-// both inputs are monotone staircases, the convolution runs in the *cost*
-// domain: O(range(a) * range(b) + |out|) instead of O(|a| * |b|). Cost
-// ranges are replica counts (<= subtree client counts), which on
-// request-heavy instances are orders of magnitude below the request-domain
-// table sizes. Equivalent to the naive convolution followed by MakeMonotone,
-// entry for entry.
-void NodDpEngine::Convolve(const CostTable& a, const CostTable& b, CostTable& out,
-                           ConvolveScratch& scratch, std::uint64_t& cells) {
-  scratch.arena.Reset();
-  scratch.lhs.BuildFrom(a, scratch.arena);
-  scratch.rhs.BuildFrom(b, scratch.arena);
-  const Staircase& lhs = scratch.lhs;
-  const Staircase& rhs = scratch.rhs;
-  const Cost cmin = lhs.vmin + rhs.vmin;
-  const Cost cmax = lhs.vmax + rhs.vmax;
-
-  // Out(c) = min forwarded budget achieving total cost <= c: minimize
-  // A(c1) + B(c2) over all splits c1 + c2 <= c, then close under "spend
-  // less, forward more" monotonicity. With j = c2 - rhs.vmin the output
-  // slot for (c1, c2) is (c1 - lhs.vmin) + j, so each c1 contributes one
-  // contiguous shifted-min sweep — the vectorized MergeMinShift.
-  const std::span<std::uint32_t> out_inv =
-      scratch.arena.AllocSpan<std::uint32_t>(static_cast<std::size_t>(cmax - cmin) + 1);
-  std::fill(out_inv.begin(), out_inv.end(), std::numeric_limits<std::uint32_t>::max());
-  const std::size_t rhs_len = rhs.inv.size();
-  for (Cost c1 = lhs.vmin; c1 <= lhs.vmax; ++c1) {
-    const std::uint32_t ua = lhs.inv[c1 - lhs.vmin];
-    detail::MergeMinShift(out_inv.data() + (c1 - lhs.vmin), rhs.inv.data(), ua, rhs_len);
+std::span<const Requests> NodDpEngine::FOf(NodeId node, ClientBuf& buf) const {
+  if (!view_.IsClient(node)) {
+    const InvTable& block = block_[node];
+    return std::span<const Requests>(block).last(std::size_t{f_len_[node]} + 1);
   }
-  for (std::size_t c = 1; c < out_inv.size(); ++c) {
-    out_inv[c] = std::min(out_inv[c], out_inv[c - 1]);
+  if (!imported_.empty()) {
+    const auto it = imported_.find(node);
+    if (it != imported_.end()) return it->second;
   }
-  cells += static_cast<std::uint64_t>(lhs.inv.size()) * rhs_len;
-
-  // Materialize the output staircase; indices below the first feasible
-  // budget (the leading kInf run) are never written.
-  out.assign(a.size() + b.size() - 1, kInf);
-  std::size_t hi = out.size();
-  for (Cost c = cmin; c <= cmax && hi > 0; ++c) {
-    const std::size_t u = out_inv[c - cmin];
-    for (std::size_t k = u; k < hi; ++k) out[k] = c;
-    hi = std::min(hi, u);
-  }
+  const Requests r = demand_[node];
+  buf[0] = r;
+  if (r == 0) return std::span<const Requests>(buf.data(), 1);
+  buf[1] = r - std::min(r, capacity_);  // one replica serves min(r, W) locally
+  return std::span<const Requests>(buf.data(), 2);
 }
 
-// Recomputes f_[node] (and, for internal nodes, the stored prefix tables
-// from child index `first_child` on) — all children must already be up to
-// date, which the level sweep guarantees. The recomputed tables depend only
-// on (children tables, demand, capacity), never on which pass runs the
-// node, so an incremental recompute writes exactly the bytes a full pass
-// would.
-void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, ConvolveScratch& scratch,
-                              ChunkCounters& counters) {
+NodDpEngine::InvTable NodDpEngine::TableOf(NodeId node) const {
+  RPT_REQUIRE(computed_, "NodDpEngine: TableOf requires up-to-date tables");
+  ClientBuf buf;
+  const auto f = FOf(CheckNode(node), buf);
+  return InvTable(f.begin(), f.end());
+}
+
+// Recomputes the block of `node` (for internal nodes, the stored prefixes
+// from child index `first_child` on, then F) — all children must already be
+// up to date, which the sweep order guarantees. The block depends only on
+// (children tables, capacity), never on which pass runs the node, so an
+// incremental recompute writes exactly what a full pass would.
+void NodDpEngine::ProcessNode(NodeId node, std::size_t first_child, Counters& counters) {
   if (view_.IsClient(node)) {
+    // A plain client's table is derived from its demand when read; an
+    // imported boundary table is already stored.
+    f_len_[node] = demand_[node] > 0 ? 1 : 0;
     if (!imported_.empty()) {
-      // Sharded solve: a boundary leaf's table IS the cut subtree root's F
-      // table, shipped from the worker — install it verbatim.
       const auto it = imported_.find(node);
       if (it != imported_.end()) {
-        f_[node] = it->second;
-        RPT_CHECK(f_[node].size() == static_cast<std::size_t>(subtree_demand_[node]) + 1);
-        counters.entries += f_[node].size();
-        return;
+        f_len_[node] = static_cast<std::uint32_t>(it->second.size() - 1);
+        counters.entries += it->second.size();
       }
     }
-    const Requests r = demand_[node];
-    CostTable& table = f_[node];
-    table.assign(static_cast<std::size_t>(r) + 1, kInf);
-    table[static_cast<std::size_t>(r)] = 0;  // no replica: forward everything
-    const Requests min_forward = r > capacity_ ? r - capacity_ : 0;
-    for (std::size_t u = static_cast<std::size_t>(min_forward); u <= r; ++u) {
-      table[u] = std::min<Cost>(table[u], 1);  // replica: serve min(r, W) locally
-    }
-    MakeMonotone(table);
-    RPT_CHECK(table.size() == static_cast<std::size_t>(subtree_demand_[node]) + 1);
-    counters.entries += table.size();
     return;
   }
-  // Children convolution with stored prefixes: prefix[i] is the product of
-  // children [0, i). Every stored table stays bounded by its (sub)domain's
-  // request total + 1 — the convolution never widens a table beyond the
-  // demand it can actually forward.
+  // Block layout: G_2 .. G_k, then F. len(G_i) is the summed length of the
+  // first i children's tables (a merge concatenates slope lists), so every
+  // offset follows from the children. Reuse G_2 .. G_first_child verbatim.
   const auto kids = view_.Children(node);
-  auto& prefix = prefixes_[node];
-  prefix.resize(kids.size() + 1);
-  if (first_child == 0) {
-    prefix[0].assign(1, 0);  // empty product: forward 0 at cost 0
-    counters.entries += 1;
+  InvTable& block = block_[node];
+  std::size_t keep = 0;       // block entries of the reused prefixes
+  std::size_t need = 0;       // block entries of all prefixes
+  std::size_t len = 0;        // len(G_first_child)
+  std::size_t total_len = 0;  // len(G_i) as i advances, finally len(G_k)
+  for (std::size_t i = 0; i < kids.size(); ++i) {
+    total_len += f_len_[kids[i]];
+    if (i >= 1) (i < first_child ? keep : need) += total_len + 1;  // G_{i+1} is stored
+    if (i + 1 == first_child) len = total_len;
   }
-  for (std::size_t c = first_child; c < kids.size(); ++c) {
-    Convolve(prefix[c], f_[kids[c]], prefix[c + 1], scratch, counters.cells);
-    counters.entries += prefix[c + 1].size();
+  need += keep;
+  block.resize(need + total_len + 2);  // F holds at most len(G_k) + 2 entries
+
+  ClientBuf kid_buf;
+  ClientBuf first_buf;
+  std::span<const Requests> g(kEmptyProduct);
+  if (first_child == 1) {
+    g = FOf(kids[0], first_buf);
+  } else if (first_child >= 2) {
+    g = std::span<const Requests>(block).subspan(keep - (len + 1), len + 1);
   }
-  const CostTable& g = prefix.back();
-  const std::size_t total = g.size() - 1;  // subtree request total below node
-  RPT_CHECK(total == static_cast<std::size_t>(subtree_demand_[node]));
-  CostTable& table = f_[node];
-  table.assign(total + 1, kInf);
-  for (std::size_t u = 0; u <= total; ++u) {
-    table[u] = g[u];  // no replica
-    const std::size_t relaxed = std::min<std::size_t>(
-        total, u + static_cast<std::size_t>(std::min<Requests>(capacity_, total)));
-    if (g[relaxed] < kInf) {
-      table[u] = std::min<Cost>(table[u], 1 + g[relaxed]);  // replica absorbs up to W
+  std::size_t pos = keep;
+  for (std::size_t i = first_child; i < kids.size(); ++i) {
+    const auto child = FOf(kids[i], i == 0 ? first_buf : kid_buf);
+    if (i == 0) {
+      g = child;  // G_1 is the first child's own table
+      continue;
     }
+    const std::size_t out_len = (g.size() - 1) + (child.size() - 1);
+    MergeSlopes(g, child, block.data() + pos);
+    counters.cells += out_len;
+    g = std::span<const Requests>(block).subspan(pos, out_len + 1);
+    pos += out_len + 1;
   }
-  MakeMonotone(table);
-  counters.entries += table.size();
+  RPT_CHECK(pos == need && g.size() == total_len + 1);
+  RPT_CHECK(g[0] == subtree_demand_[node]);
+  const std::size_t f_len = InsertCapacity(g, capacity_, block.data() + pos);
+  block.resize(pos + f_len + 1);
+  f_len_[node] = static_cast<std::uint32_t>(f_len);
+  counters.entries += (pos - keep) + f_len + 1;
 }
 
-// Level-synchronous sweep, deepest level first. Within a level every node's
-// merge is independent (its children live one level deeper and are already
-// done), so the level runs as parallel chunks on the process-wide solver
-// pool; per-chunk scratch leases and exact-integer work counters keep the
-// outputs bit-identical to a serial sweep. In the incremental form the
-// levels hold only dirty nodes — independent dirty chains proceed in
-// parallel — and each internal node's prefix chain restarts at its first
-// dirty child.
-void NodDpEngine::SweepLevels(const std::vector<std::vector<NodeId>>& levels, bool incremental) {
-  std::atomic<std::uint64_t> entries{0};
-  std::atomic<std::uint64_t> cells{0};
-  std::uint64_t nodes = 0;
-  ThreadPool* pool = SolverPool();
-  for (std::size_t d = levels.size(); d-- > 0;) {
-    const std::vector<NodeId>& level = levels[d];
-    if (level.empty()) continue;
-    nodes += level.size();
-    ParallelForChunked(pool, level.size(), /*grain=*/1,
-                       [&](std::size_t begin, std::size_t end) {
-                         const auto lease = scratch_pool_.Acquire();
-                         ChunkCounters counters;
-                         for (std::size_t slot = begin; slot < end; ++slot) {
-                           const NodeId node = level[slot];
-                           std::size_t first_child = 0;
-                           if (incremental && !view_.IsClient(node) &&
-                               force_prefix_rebuild_[node] != pass_) {
-                             // Reuse the prefix chain up to the first child
-                             // whose subtree changed this pass. (A node whose
-                             // child list shrank or reordered this pass is
-                             // stamped by ApplyTopology and skips straight to
-                             // a full rebuild — its prefixes index the old
-                             // list.)
-                             const auto kids = view_.Children(node);
-                             first_child = kids.size();
-                             for (std::size_t c = 0; c < kids.size(); ++c) {
-                               if (last_dirty_pass_[kids[c]] == pass_) {
-                                 first_child = c;
-                                 break;
-                               }
-                             }
-                             // A dirty internal node usually has a dirty
-                             // child (dirt spreads leaf -> root); a
-                             // topology-seeded node may not (e.g. a migrated
-                             // subtree root, dirty by decree while all its
-                             // children kept valid tables) — fall back to a
-                             // full rebuild.
-                             if (first_child == kids.size()) first_child = 0;
-                           }
-                           ProcessNode(node, first_child, *lease, counters);
-                         }
-                         entries.fetch_add(counters.entries, std::memory_order_relaxed);
-                         cells.fetch_add(counters.cells, std::memory_order_relaxed);
-                       });
+// One serial sweep over `order`, children before parents. A node's block
+// depends only on its children's tables, so any such order writes the same
+// bytes; the merges are linear, so a level-parallel sweep bought nothing
+// (docs/ARCHITECTURE.md, "Multiple-NoD in the cost domain"). In the
+// incremental form `order` holds only dirty nodes, and each internal node's
+// prefix chain restarts at its first dirty child.
+void NodDpEngine::Sweep(std::span<const NodeId> order, bool incremental) {
+  Counters counters;
+  for (const NodeId node : order) {
+    std::size_t first_child = 0;
+    if (incremental && !view_.IsClient(node) && force_prefix_rebuild_[node] != pass_) {
+      // Reuse the prefix chain up to the first child whose subtree changed
+      // this pass. (A node whose child list shrank or reordered this pass is
+      // stamped by ApplyTopology and skips straight to a full rebuild — its
+      // prefixes index the old list.)
+      const auto kids = view_.Children(node);
+      first_child = kids.size();
+      for (std::size_t c = 0; c < kids.size(); ++c) {
+        if (last_dirty_pass_[kids[c]] == pass_) {
+          first_child = c;
+          break;
+        }
+      }
+      // A dirty internal node usually has a dirty child (dirt spreads leaf
+      // -> root); a topology-seeded node may not (e.g. a migrated subtree
+      // root, dirty by decree while all its children kept valid tables) —
+      // fall back to a full rebuild.
+      if (first_child == kids.size()) first_child = 0;
+    }
+    ProcessNode(node, first_child, counters);
   }
-  work_.table_entries += entries.load(std::memory_order_relaxed);
-  work_.convolve_cells += cells.load(std::memory_order_relaxed);
-  work_.nodes_processed += nodes;
-  last_pass_nodes_ = nodes;
+  work_.table_entries += counters.entries;
+  work_.convolve_cells += counters.cells;
+  work_.nodes_processed += order.size();
+  last_pass_nodes_ = order.size();
 }
 
 void NodDpEngine::ComputeAll() {
   ++pass_;
   std::fill(last_dirty_pass_.begin(), last_dirty_pass_.end(), pass_);
-  SweepLevels(all_levels_, /*incremental=*/false);
+  Sweep(view_.PostOrder(), /*incremental=*/false);
   computed_ = true;
 }
 
@@ -333,6 +280,7 @@ void NodDpEngine::RecomputeDirty(std::span<const NodeId> touched) {
     return;
   }
   ++pass_;
+  frag_.resize(view_.Size());  // first incremental pass: fragments may start recording
   for (auto& level : dirty_levels_) level.clear();
   // The dirty set is the union of the touched nodes' root paths; each walk
   // stops at the first node already marked by an earlier path. Seeds are
@@ -346,20 +294,24 @@ void NodDpEngine::RecomputeDirty(std::span<const NodeId> touched) {
     for (NodeId cur = seed;; cur = view_.Parent(cur)) {
       if (last_dirty_pass_[cur] == pass_) break;
       last_dirty_pass_[cur] = pass_;
-      dirty_levels_[view_.Depth(cur)].push_back(cur);
+      const std::size_t depth = view_.Depth(cur);
+      if (depth >= dirty_levels_.size()) dirty_levels_.resize(depth + 1);
+      dirty_levels_[depth].push_back(cur);
       if (cur == view_.Root()) break;
     }
   }
-  // Paths are walked in touched order, so bucket contents may be unsorted;
-  // sort for deterministic chunk boundaries independent of touch order.
-  for (auto& level : dirty_levels_) std::sort(level.begin(), level.end());
-  SweepLevels(dirty_levels_, /*incremental=*/true);
+  // Deepest level first puts every dirty child before its dirty parent.
+  dirty_order_.clear();
+  for (std::size_t d = dirty_levels_.size(); d-- > 0;) {
+    dirty_order_.insert(dirty_order_.end(), dirty_levels_[d].begin(), dirty_levels_[d].end());
+  }
+  Sweep(dirty_order_, /*incremental=*/true);
 }
 
 bool NodDpEngine::Feasible() const {
   RPT_REQUIRE(computed_, "NodDpEngine: Feasible requires up-to-date tables");
-  const CostTable& root = f_[view_.Root()];
-  return !root.empty() && root[0] < kInf;
+  ClientBuf buf;
+  return FOf(view_.Root(), buf).back() == 0;
 }
 
 namespace {
@@ -368,9 +320,10 @@ constexpr std::uint32_t kPendNil = static_cast<std::uint32_t>(-1);
 
 NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
                                                   Solution& solution) {
-  const CostTable& table = f_[node];
-  RPT_CHECK(u < table.size() || !table.empty());
-  u = std::min(u, table.size() - 1);
+  u = std::min<std::size_t>(u, subtree_demand_[node]);
+  ClientBuf buf;
+  const Cost cost = CostAt(FOf(node, buf), u);
+  RPT_CHECK(cost < kInf);
 
   const auto empty_chain = [] { return PendChain{kPendNil, kPendNil, 0}; };
   const auto single_chain = [this](NodeId client, Requests amount) {
@@ -388,7 +341,6 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
   if (!imported_.empty() && imported_.contains(node)) {
     RPT_REQUIRE(imported_provider_ != nullptr,
                 "NodDpEngine: backtracking imported tables requires a fragment provider");
-    RPT_CHECK(table[u] < kInf);
     PendChain chain = empty_chain();
     for (const auto& [client, amount] : imported_provider_(node, u)) {
       const PendChain link = single_chain(client, amount);
@@ -407,15 +359,17 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
   // last recompute (a dirty node this pass has last_dirty == pass_ >=
   // built_pass, so it can never hit) and the clamped budget matches. The
   // reconstruction below is a pure function of (subtree tables, budget), so
-  // the replayed bytes are exactly what the recursion would append.
-  FragmentCache& frag = frag_[node];
-  if (frag.built_pass > last_dirty_pass_[node] && frag.budget == u) {
-    solution.replicas.insert(solution.replicas.end(), frag.replicas.begin(),
-                             frag.replicas.end());
-    solution.assignment.insert(solution.assignment.end(), frag.entries.begin(),
-                               frag.entries.end());
+  // the replayed bytes are exactly what the recursion would append. frag_
+  // stays empty until the first incremental pass: before it every node is
+  // dirty, so nothing could be recorded or replayed.
+  FragmentCache* frag = frag_.empty() ? nullptr : &frag_[node];
+  if (frag != nullptr && frag->built_pass > last_dirty_pass_[node] && frag->budget == u) {
+    solution.replicas.insert(solution.replicas.end(), frag->replicas.begin(),
+                             frag->replicas.end());
+    solution.assignment.insert(solution.assignment.end(), frag->entries.begin(),
+                               frag->entries.end());
     PendChain chain = empty_chain();
-    for (const auto& [client, amount] : frag.forwarded) {
+    for (const auto& [client, amount] : frag->forwarded) {
       const PendChain link = single_chain(client, amount);
       if (chain.head == kPendNil) {
         chain.head = link.head;
@@ -434,30 +388,27 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
     // hot path that changes again, and its fragment near the root can span
     // most of the solution — recording it every pass would cost more than
     // the recursion it saves.
-    if (last_dirty_pass_[node] >= pass_) return;
+    if (frag == nullptr || last_dirty_pass_[node] >= pass_) return;
     // Budget check: replacing this node's old fragment frees its share; a
     // brand-new fragment past the cap is simply not recorded (replay is an
     // optimization, never a correctness dependency).
-    frag_entries_total_ -= frag.EntryCount();
+    frag_entries_total_ -= frag->EntryCount();
     const std::size_t incoming_entries =
         (solution.replicas.size() - mark_replicas) + (solution.assignment.size() - mark_entries);
     if (frag_entries_total_ + incoming_entries > kFragEntryBudget) {
-      frag = FragmentCache{};  // drop the stale share instead of keeping it
+      *frag = FragmentCache{};  // drop the stale share instead of keeping it
       return;
     }
-    frag.built_pass = pass_;
-    frag.budget = u;
-    frag.replicas.assign(solution.replicas.begin() + mark_replicas, solution.replicas.end());
-    frag.entries.assign(solution.assignment.begin() + mark_entries, solution.assignment.end());
-    frag.forwarded.clear();
+    frag->built_pass = pass_;
+    frag->budget = u;
+    frag->replicas.assign(solution.replicas.begin() + mark_replicas, solution.replicas.end());
+    frag->entries.assign(solution.assignment.begin() + mark_entries, solution.assignment.end());
+    frag->forwarded.clear();
     for (std::uint32_t e = out.head; e != kPendNil; e = pend_entries_[e].next) {
-      frag.forwarded.emplace_back(pend_entries_[e].client, pend_entries_[e].amount);
+      frag->forwarded.emplace_back(pend_entries_[e].client, pend_entries_[e].amount);
     }
-    frag_entries_total_ += frag.EntryCount();
+    frag_entries_total_ += frag->EntryCount();
   };
-
-  const Cost cost = table[u];
-  RPT_CHECK(cost < kInf);
 
   if (view_.IsClient(node)) {
     const auto leaf_chain = [&]() -> PendChain {
@@ -534,60 +485,85 @@ NodDpEngine::PendChain NodDpEngine::BacktrackNode(NodeId node, std::size_t u,
 }
 
 bool NodDpEngine::SplitBudget(NodeId node, std::size_t u, std::size_t* child_budget) const {
-  const CostTable& table = f_[node];
-  const Cost cost = table[u];
+  const auto kids = view_.Children(node);
+  const InvTable& block = block_[node];
+  const std::size_t f_offset = block.size() - f_len_[node] - 1;
+  const std::span<const Requests> f = std::span<const Requests>(block).subspan(f_offset);
+  const Cost cost = CostAt(f, u);
   RPT_CHECK(cost < kInf);
-  const auto& prefix = prefixes_[node];
-  const CostTable& g = prefix.back();
-  const std::size_t total = g.size() - 1;
-  const bool use_replica = g[u] != cost;  // prefer the replica-free branch
-  std::size_t budget = u;
-  Cost remaining_cost = cost;
+  // G_k ends where F starts; len(G_i) is the first i children's summed
+  // lengths.
+  std::size_t g_len = 0;  // len(G_k)
+  for (const NodeId kid : kids) g_len += f_len_[kid];
+  ClientBuf first_buf;
+  const auto prefix = [&](std::size_t i, std::size_t len, std::size_t end) {
+    if (i == 0) return std::span<const Requests>(kEmptyProduct);
+    if (i == 1) return FOf(kids[0], first_buf);
+    return std::span<const Requests>(block).subspan(end - (len + 1), len + 1);
+  };
+  std::size_t g_end = f_offset;  // one past the last entry of G_k once stored
+  const std::span<const Requests> g = prefix(kids.size(), g_len, g_end);
+  const Requests total = g[0];
+  const bool use_replica = CostAt(g, u) != cost;  // prefer the replica-free branch
+  Requests v = u;
+  Cost target = cost;
   if (use_replica) {
-    budget = std::min<std::size_t>(
-        total, u + static_cast<std::size_t>(std::min<Requests>(capacity_, total)));
-    RPT_CHECK(cost >= 1 && g[budget] == cost - 1);
-    remaining_cost = cost - 1;
+    v = u + std::min(capacity_, total - u);
+    RPT_CHECK(cost >= 1 && CostAt(g, v) == cost - 1);
+    target = cost - 1;
   } else {
-    RPT_CHECK(g[budget] == cost);
+    RPT_CHECK(CostAt(g, v) == cost);
   }
 
-  // Split `budget` among children by walking the prefix tables backwards.
-  const auto kids = view_.Children(node);
-  std::size_t v = budget;
-  Cost target = remaining_cost;
+  // Split v among the children by walking the prefixes backwards: child k
+  // gets the smallest b with F_k(b) + G_k(min(v - b, |G_k|)) == target. On a
+  // run of b where F_k equals level l, G_k must equal t = target - l, which
+  // holds exactly for min(v - b, |G_k|) in [G_inv[t], G_inv[t-1] - 1] (up
+  // to |G_k| for t = 0). Levels in descending order visit b ascending, so
+  // the first non-empty intersection holds the smallest b.
+  ClientBuf kid_buf;
   for (std::size_t k = kids.size(); k-- > 0;) {
-    const CostTable& before = prefix[k];
-    const CostTable& child_table = f_[kids[k]];
+    const auto child = FOf(kids[k], k == 0 ? first_buf : kid_buf);
+    const std::size_t child_len = child.size() - 1;
+    if (k >= 2) g_end -= g_len + 1;  // step past G_{k+1}
+    g_len -= child_len;
+    const auto before = prefix(k, g_len, g_end);
+    const Requests before_total = before[0];
     bool found = false;
-    // Smallest child budget achieving the target keeps ancestors safest.
-    for (std::size_t b = 0; b < child_table.size() && b <= v; ++b) {
-      if (child_table[b] >= kInf) continue;
-      const std::size_t rest = v - b;
-      const std::size_t rest_clamped = std::min(rest, before.size() - 1);
-      if (before[rest_clamped] < kInf && before[rest_clamped] + child_table[b] == target) {
-        child_budget[k] = b;
-        target -= child_table[b];
-        v = rest_clamped;
-        found = true;
-        break;
-      }
+    for (std::size_t level = std::min<std::size_t>(child_len, target) + 1; level-- > 0;) {
+      const std::size_t t = target - level;
+      if (t > g_len) break;  // G_k never equals t; lower levels need larger t
+      const Requests b_lo = child[level];
+      const Requests b_hi = level == 0 ? child[0] : child[level - 1] - 1;
+      const Requests x_lo = before[t];
+      if (v < x_lo) continue;
+      Requests lo = b_lo;
+      if (t > 0 && v > before[t - 1] - 1) lo = std::max(lo, v - (before[t - 1] - 1));
+      const Requests hi = std::min(b_hi, v - x_lo);
+      if (lo > hi) continue;
+      child_budget[k] = lo;
+      target -= static_cast<Cost>(level);
+      v = std::min(v - lo, before_total);
+      found = true;
+      break;
     }
     RPT_CHECK(found);
   }
   return use_replica;
 }
 
-void NodDpEngine::ImportLeafTable(NodeId leaf, CostTable table) {
+void NodDpEngine::ImportLeafTable(NodeId leaf, Cost vmin, InvTable inv) {
   RPT_REQUIRE(view_.IsLive(CheckNode(leaf)), "NodDpEngine: imported tables belong to live nodes");
   RPT_REQUIRE(view_.IsClient(leaf), "NodDpEngine: imported tables belong to client leaves");
-  RPT_REQUIRE(table.size() == static_cast<std::size_t>(subtree_demand_[leaf]) + 1,
-              "NodDpEngine: imported table must span the leaf demand (size = demand + 1)");
-  RPT_REQUIRE(table.back() < kInf, "NodDpEngine: imported table needs a finite entry");
-  for (std::size_t u = 1; u < table.size(); ++u) {
-    RPT_REQUIRE(table[u] <= table[u - 1], "NodDpEngine: imported table must be non-increasing");
+  RPT_REQUIRE(vmin == 0, "NodDpEngine: imported table must cost 0 at full forwarding (vmin = 0)");
+  RPT_REQUIRE(!inv.empty() && inv[0] == subtree_demand_[leaf],
+              "NodDpEngine: imported table must start at the leaf demand (inv[0] = demand)");
+  for (std::size_t c = 1; c < inv.size(); ++c) {
+    RPT_REQUIRE(inv[c] < inv[c - 1], "NodDpEngine: imported table must be strictly decreasing");
+    RPT_REQUIRE(c < 2 || inv[c - 1] - inv[c] <= inv[c - 2] - inv[c - 1],
+                "NodDpEngine: imported table must be convex (non-increasing slopes)");
   }
-  imported_[leaf] = std::move(table);
+  imported_[leaf] = std::move(inv);
   computed_ = false;  // any previously stored leaf table is stale until the next pass
 }
 
@@ -604,9 +580,7 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
   while (!stack.empty()) {
     const auto [node, budget] = stack.back();
     stack.pop_back();
-    const CostTable& table = f_[node];
-    RPT_CHECK(!table.empty());
-    const std::size_t u = std::min(budget, table.size() - 1);
+    const std::size_t u = std::min<std::size_t>(budget, subtree_demand_[node]);
     if (view_.IsClient(node)) {
       if (imported_.contains(node)) out.push_back(ImportBudget{node, u});
       continue;
@@ -625,8 +599,9 @@ std::vector<NodDpEngine::ImportBudget> NodDpEngine::AssignImportedBudgets() cons
 
 NodDpEngine::BudgetedBacktrack NodDpEngine::BacktrackWithBudget(std::size_t budget) {
   RPT_REQUIRE(computed_, "NodDpEngine: BacktrackWithBudget requires up-to-date tables");
-  const CostTable& root = f_[view_.Root()];
-  RPT_REQUIRE(!root.empty() && root[std::min(budget, root.size() - 1)] < kInf,
+  ClientBuf buf;
+  const NodeId root = view_.Root();
+  RPT_REQUIRE(CostAt(FOf(root, buf), std::min<std::size_t>(budget, subtree_demand_[root])) < kInf,
               "NodDpEngine: no feasible reconstruction at this budget");
   pend_entries_.clear();
   BudgetedBacktrack out;

@@ -1,34 +1,51 @@
-// Reusable core of the Multiple-NoD tree-knapsack DP, factored out of
-// SolveMultipleNodDp so the same tables can serve both batch solves and the
-// incremental re-solve engine (src/incremental/).
+// Reusable core of the Multiple-NoD tree-knapsack DP, shared by batch
+// solves (SolveMultipleNodDp), the incremental re-solve engine
+// (src/incremental/) and the sharded solve (src/shard/).
 //
-// The engine owns the full DP state for one tree: a mutable per-client
-// demand overlay (initialized from the tree's request column), the per-node
-// F tables (F_j(u) = min replicas in subtree(j) forwarding at most u
-// requests above j), and the per-internal-node prefix tables G_0..G_k used
-// by backtracking. Two forward passes share every kernel:
+// F_j(u) = min replicas in subtree(j) such that at most u requests are
+// forwarded above j. Every F table and every prefix table G_i (the min-plus
+// product of the first i children's F tables) is convex in the cost domain,
+// so the engine never materializes a table over the demand domain. It
+// stores each one as its inverse staircase (an InvTable): inv[c] = the
+// smallest forwarded amount u with F(u) <= c, for c = 0..len, where inv[0]
+// is the subtree demand and inv strictly decreases. Equivalently inv is the
+// demand minus the prefix sums of a non-increasing list of positive slopes.
+// With that form (proofs in docs/ARCHITECTURE.md, "Multiple-NoD in the cost
+// domain"):
 //
-//  * ComputeAll()       — the classic full pass: level-synchronous sweep
-//                         deepest-first, parallel chunks within a level on
-//                         the process-wide SolverPool(), per-chunk scratch
-//                         leased from a ScratchPool (see multiple_nod_dp.hpp
-//                         for the staircase-convolution details). This is
+//  * a client's table is the single slope min(r, W) (none when r = 0);
+//  * a child merge is a linear merge of two slope lists;
+//  * the node's own replica step inserts one slope W and clips the sum at
+//    the subtree demand;
+//  * a lookup F(u) is a binary search over inv.
+//
+// Table sizes therefore depend on replica counts only, never on demand
+// magnitudes: the solver is strongly polynomial, O(sum of table lengths).
+// Client tables are derived from the demand on demand and not stored; an
+// internal node stores one block holding its prefixes G_2..G_k followed by
+// its F (G_0 = {0} and G_1 = F of the first child are implicit).
+//
+// Two forward passes share every kernel, each one serial sweep with
+// children before parents:
+//
+//  * ComputeAll()       — the full pass over the view's post-order. This is
 //                         exactly what SolveMultipleNodDp runs.
 //  * RecomputeDirty(S)  — the incremental pass: given the set S of touched
 //                         client leaves, only the union of their root paths
-//                         is re-processed (children before parents, parallel
-//                         within a level across independent dirty chains);
-//                         every untouched subtree keeps its tables verbatim.
+//                         is re-processed (deepest first); every untouched
+//                         subtree keeps its tables verbatim.
 //                         At a dirty internal node the prefix chain is
 //                         reused up to the first dirty child, so a change
 //                         under the last child re-runs only the tail merges.
 //
-// Invariant: after either pass, every table equals byte-for-byte what a
-// from-scratch ComputeAll() over the current (demands, capacity) state
-// would produce — recomputed nodes see identical inputs (their children's
-// tables), and the DP itself is deterministic at any thread count. This is
-// what makes the incremental solver's solutions bit-identical to the batch
-// oracle (asserted by tests/test_incremental.cpp).
+// Invariant: after either pass, every table equals what a from-scratch
+// ComputeAll() over the current (demands, capacity) state would produce —
+// recomputed nodes see identical inputs (their children's tables), and the
+// DP itself is deterministic. This is what makes the
+// incremental solver's solutions bit-identical to the batch oracle (asserted
+// by tests/test_incremental.cpp). The tables and every reconstructed
+// solution are also identical to the demand-domain DP they replace
+// (tests/test_nod_dp_cost_domain.cpp sweeps the two against each other).
 //
 // Topology mutation: the engine runs over a TopologyView, so the same
 // tables serve an immutable CSR Tree and a mutable TreeOverlay. After a
@@ -48,10 +65,10 @@
 // backing Tree/TreeOverlay must outlive it and must not mutate except
 // through the ApplyTopology protocol (demand lives in the engine's own
 // overlay column, NOT in the view). Not thread-safe: one engine per thread
-// of control; the internal parallelism is fork-join and fully contained in
-// the passes.
+// of control.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -61,30 +78,19 @@
 #include <vector>
 
 #include "model/solution.hpp"
-#include "support/arena.hpp"
 #include "tree/topology_view.hpp"
 
 namespace rpt::multiple {
 
-namespace detail {
-
-/// The staircase-merge inner loop: out[j] = min(out[j], rhs[j] + shift) for
-/// j in [0, n). Written branch-free over restrict-qualified flat arrays so
-/// the compiler auto-vectorizes it; equivalent entry-for-entry to the scalar
-/// reference (asserted by test_multiple_nod_dp).
-void MergeMinShift(std::uint32_t* out, const std::uint32_t* rhs, std::uint32_t shift,
-                   std::size_t n) noexcept;
-
-}  // namespace detail
-
 /// Counters describing the work and footprint of the DP passes run so far.
-/// Table entries / convolve cells are exact integer sums accumulated with
-/// relaxed atomics, so they are identical at any thread count.
 struct NodDpWork {
-  /// Entries (4 bytes each) written across all F and prefix tables.
+  /// Inverse-staircase entries (one Requests, 8 bytes, each) written to the
+  /// stored F and prefix tables, plus imported boundary tables as their
+  /// leaves are visited. Client tables are derived, not stored, and count
+  /// nothing. After a single ComputeAll() this is the tables' footprint.
   std::uint64_t table_entries = 0;
-  /// Inner-loop iterations of all staircase convolutions (cost-domain
-  /// cells), the dominant arithmetic of the forward passes.
+  /// Slope-merge steps: one per output entry past the first of every child
+  /// merge, the dominant arithmetic of the forward passes.
   std::uint64_t convolve_cells = 0;
   /// Nodes processed (a node re-processed by several passes counts each
   /// time).
@@ -100,10 +106,17 @@ struct NodDpWork {
 class NodDpEngine {
  public:
   using Cost = std::uint32_t;
-  using CostTable = std::vector<Cost>;
+  /// A convex F (or prefix) table as its inverse staircase: inv[c] = the
+  /// smallest forwarded amount u with F(u) <= c, c = 0..len; inv[0] is the
+  /// subtree demand and inv strictly decreases.
+  using InvTable = std::vector<Requests>;
 
   /// Sentinel for "no feasible entry" in a cost table.
   static constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 2;
+
+  /// F(u) of an inverse staircase: the smallest c with inv[c] <= u, or
+  /// kInfCost when u is below the table's minimum forwarded amount.
+  [[nodiscard]] static Cost CostAt(std::span<const Requests> inv, Requests u);
 
   /// Demands start as the view's client request column. `capacity` is the
   /// uniform server capacity W (> 0). The backing tree/overlay must outlive
@@ -159,12 +172,10 @@ class NodDpEngine {
   /// (F_root(0) finite). Requires up-to-date tables.
   [[nodiscard]] bool Feasible() const;
 
-  /// The F table of `node` (valid until the next pass or mutation). Exposed
-  /// for the sharded solve's boundary-table export and for tests.
-  [[nodiscard]] const CostTable& TableOf(NodeId node) const {
-    RPT_REQUIRE(computed_, "NodDpEngine: TableOf requires up-to-date tables");
-    return f_[CheckNode(node)];
-  }
+  /// The F table of `node` in inverse form (a copy; client tables are
+  /// derived on the fly). Exposed for the sharded solve's boundary-table
+  /// export and for tests.
+  [[nodiscard]] InvTable TableOf(NodeId node) const;
 
   /// Reconstructs an optimal placement + routing from the tables; requires
   /// Feasible(). The returned solution is canonicalized and identical to
@@ -186,7 +197,7 @@ class NodDpEngine {
   // the cut point by its F table. The coordinator builds a *spine* tree in
   // which each cut subtree collapses to one client leaf carrying the
   // subtree's demand, imports the shipped tables below, and runs the normal
-  // passes — every spine table comes out byte-identical to the same node's
+  // passes — every spine table comes out identical to the same node's
   // table in the unsharded engine. Reconstruction splits in two: the budget
   // sweep (AssignImportedBudgets) tells each worker how much its subtree may
   // forward, and the final Backtrack() replays each worker's forwarded
@@ -194,12 +205,14 @@ class NodDpEngine {
   // requests exactly as the unsharded backtrack would.
 
   /// Installs the boundary table of the cut subtree behind `leaf` (a client
-  /// leaf whose requests equal the subtree's demand). The table must be the
-  /// subtree root's F table: size = demand + 1, monotone non-increasing,
-  /// finite at full forwarding. Forward passes install it verbatim instead
-  /// of the standard client table; tables become stale until the next
-  /// ComputeAll().
-  void ImportLeafTable(NodeId leaf, CostTable table);
+  /// leaf whose requests equal the subtree's demand), in the wire's inverse
+  /// form: inv[c - vmin] = the smallest u with F(u) <= c. It must be a
+  /// subtree root's F table — vmin = 0, inv[0] = the leaf's demand, strictly
+  /// decreasing and convex (non-increasing slopes) — or the slope merges
+  /// above it would be wrong; anything else throws InvalidArgument. Forward
+  /// passes use it instead of the standard client table; tables become
+  /// stale until the next ComputeAll().
+  void ImportLeafTable(NodeId leaf, Cost vmin, InvTable inv);
 
   /// True iff `leaf` carries an imported boundary table.
   [[nodiscard]] bool IsImportedLeaf(NodeId leaf) const {
@@ -253,41 +266,27 @@ class NodDpEngine {
   [[nodiscard]] std::uint64_t LastPassNodes() const noexcept { return last_pass_nodes_; }
 
  private:
-  // Per-chunk scratch: two input staircases plus the output inverse, all
-  // bump-allocated from one arena reset per convolution (zero steady-state
-  // allocation; slabs reused across merges, levels, and passes).
-  struct Staircase {
-    Cost vmin = 0;
-    Cost vmax = 0;
-    std::size_t first_finite = 0;
-    std::span<std::uint32_t> inv;
-    void BuildFrom(const CostTable& table, Arena& arena);
-  };
-  struct ConvolveScratch {
-    Arena arena;
-    Staircase lhs;
-    Staircase rhs;
-  };
-  struct ChunkCounters {
+  struct Counters {
     std::uint64_t entries = 0;
     std::uint64_t cells = 0;
   };
+  /// Room for a client's derived table {r, r - min(r, W)}.
+  using ClientBuf = std::array<Requests, 2>;
 
   NodeId CheckNode(NodeId id) const {
     RPT_REQUIRE(id < view_.Size(), "NodDpEngine: node id out of range");
     return id;
   }
 
-  void Convolve(const CostTable& a, const CostTable& b, CostTable& out, ConvolveScratch& scratch,
-                std::uint64_t& cells);
-  /// Recomputes f_[node]; for internal nodes the prefix chain is rebuilt
-  /// from child index `first_child` on (0 = full rebuild). All children must
-  /// already be up to date.
-  void ProcessNode(NodeId node, std::size_t first_child, ConvolveScratch& scratch,
-                   ChunkCounters& counters);
-  /// Sweeps the per-level node buckets deepest-first, parallel within each
-  /// level; `levels` holds node ids bucketed by depth.
-  void SweepLevels(const std::vector<std::vector<NodeId>>& levels, bool incremental);
+  /// The F table of `node`: a span into its block, its imported table, or
+  /// (for a plain client) its derived table written into `buf`.
+  std::span<const Requests> FOf(NodeId node, ClientBuf& buf) const;
+  /// Recomputes the block of `node`; for internal nodes the prefix chain is
+  /// rebuilt from child index `first_child` on (0 = full rebuild). All
+  /// children must already be up to date.
+  void ProcessNode(NodeId node, std::size_t first_child, Counters& counters);
+  /// Processes `order` (children before parents) serially.
+  void Sweep(std::span<const NodeId> order, bool incremental);
 
   // Pending requests travelling upward during reconstruction, stored as
   // arena-chained (client, amount) entries so concatenation is O(1) and a
@@ -319,34 +318,37 @@ class NodDpEngine {
   };
   // Hard cap on the summed EntryCount over all cached fragments (~2M
   // entries, tens of MB): every internal node eventually records its whole
-  // subtree's slice, which sums to O(|solution| * depth) — fine for the DP's
-  // pseudo-polynomial workloads, but capped so a pathological stream cannot
-  // grow the cache without bound. Past the cap, recording stops (existing
-  // fragments may still be replaced in place and still replay); correctness
-  // never depends on a fragment being cached.
+  // subtree's slice, which sums to O(|solution| * depth) — a few times the
+  // solution on balanced trees, but capped so a deep tree or a pathological
+  // stream cannot grow the cache without bound. Past the cap, recording
+  // stops (existing fragments may still be replaced in place and still
+  // replay); correctness never depends on a fragment being cached.
   static constexpr std::size_t kFragEntryBudget = std::size_t{1} << 21;
   PendChain BacktrackNode(NodeId node, std::size_t budget, Solution& solution);
 
   /// Shared table-arithmetic core of reconstruction at internal `node` with
   /// clamped budget `u`: decides the replica bit and splits the (possibly
   /// relaxed) budget among the children by the backwards prefix-table walk,
-  /// filling child_budget[0..arity). Returns whether a replica is placed.
+  /// filling child_budget[0..arity) with the smallest child budget that
+  /// keeps the cost optimal (found per child cost level, two inverse lookups
+  /// each). Returns whether a replica is placed.
   /// Pure function of the tables — BacktrackNode and AssignImportedBudgets
   /// both call it, so a sharded solve's budget sweep and its final backtrack
   /// can never disagree.
   bool SplitBudget(NodeId node, std::size_t u, std::size_t* child_budget) const;
 
-  /// Rebuilds all_levels_/dirty_levels_ over the view's live nodes.
-  void RebuildLevels();
 
   TopologyView view_;
   Requests capacity_;
   std::vector<Requests> demand_;          // per node; internal nodes hold 0
   std::vector<Requests> subtree_demand_;  // maintained by SetDemand
-  std::vector<CostTable> f_;
-  std::vector<std::vector<CostTable>> prefixes_;
-  std::vector<std::vector<NodeId>> all_levels_;    // every live node bucketed by depth
-  std::vector<std::vector<NodeId>> dirty_levels_;  // reused dirty buckets
+  // Per internal node: prefixes G_2..G_k then F, back to back. Plain
+  // clients keep no block. f_len_ is len(F) for every processed node (F
+  // holds one entry per replica, so it fits 32 bits).
+  std::vector<InvTable> block_;
+  std::vector<std::uint32_t> f_len_;
+  std::vector<std::vector<NodeId>> dirty_levels_;  // reused dirty buckets, by depth
+  std::vector<NodeId> dirty_order_;                // dirty nodes, deepest first
   std::vector<std::uint64_t> last_dirty_pass_;     // forward pass that last re-processed a node
   // Pass stamp: when force_prefix_rebuild_[node] equals the running pass,
   // the incremental sweep rebuilds the node's whole prefix chain instead of
@@ -356,15 +358,15 @@ class NodDpEngine {
   std::vector<std::uint64_t> force_prefix_rebuild_;
   std::uint64_t pass_ = 0;                         // forward passes run so far
   bool computed_ = false;
-  ScratchPool<ConvolveScratch> scratch_pool_;
   NodDpWork work_;
   std::uint64_t last_pass_nodes_ = 0;
   std::vector<PendEntry> pend_entries_;  // Backtrack arena, reused per call
-  std::vector<FragmentCache> frag_;      // per-node Backtrack fragments
+  std::vector<FragmentCache> frag_;      // per-node Backtrack fragments; empty until
+                                         // the first incremental pass
   // Sharded solve: boundary tables imported at client leaves, and the
   // fragment provider Backtrack() replays their forwarded pendings from.
   // Empty (and cost-free on every path) outside the coordinator.
-  std::unordered_map<NodeId, CostTable> imported_;
+  std::unordered_map<NodeId, InvTable> imported_;
   ImportedFragmentFn imported_provider_;
   std::size_t frag_entries_total_ = 0;   // summed EntryCount, vs kFragEntryBudget
   std::size_t last_replica_count_ = 0;   // previous solution sizes, for reserve

@@ -12,7 +12,6 @@ namespace {
 
 namespace wire = support::wire;
 using Cost = multiple::NodDpEngine::Cost;
-using CostTable = multiple::NodDpEngine::CostTable;
 using wire::ByteReader;
 constexpr Cost kInf = multiple::NodDpEngine::kInfCost;
 
@@ -31,25 +30,10 @@ void AppendFramed(std::string& out, const std::string& payload) {
 }
 
 std::string EncodeTablePayload(const BoundaryTable& table) {
-  RPT_REQUIRE(table.table.size() == table.demand + 1,
-              "rpt-btab: table size must be demand + 1");
-  RPT_REQUIRE(table.table.back() < kInf, "rpt-btab: table needs a finite entry");
-  // Cost-domain compression: the staircase's inverse, exactly the DP's
-  // internal form (see Staircase::BuildFrom in nod_dp_engine.cpp).
-  std::size_t f = 0;
-  while (table.table[f] >= kInf) ++f;
-  const Cost vmax = table.table[f];
-  const Cost vmin = table.table.back();
-  std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1,
-                                 static_cast<std::uint32_t>(f));
-  Cost cur = vmax;
-  for (std::size_t u = f + 1; u < table.table.size(); ++u) {
-    while (cur > table.table[u]) {
-      --cur;
-      inv[cur - vmin] = static_cast<std::uint32_t>(u);
-    }
-  }
-
+  RPT_REQUIRE(!table.inv.empty(), "rpt-btab: table needs a finite entry");
+  RPT_REQUIRE(table.demand <= kMaxBtabDemand, "rpt-btab: table demand exceeds the u32 domain");
+  const std::uint64_t vmax = std::uint64_t{table.vmin} + (table.inv.size() - 1);
+  RPT_REQUIRE(vmax < kInf, "rpt-btab: table cost range is invalid");
   std::string payload;
   wire::ByteWriter out(payload);
   out.U8(kKindTable)
@@ -58,9 +42,12 @@ std::string EncodeTablePayload(const BoundaryTable& table) {
       .U32(table.subtree_nodes)
       .U64(table.table_entries)
       .U64(table.convolve_cells)
-      .U32(vmin)
-      .U32(vmax);
-  for (const std::uint32_t v : inv) out.U32(v);
+      .U32(table.vmin)
+      .U32(static_cast<std::uint32_t>(vmax));
+  for (const Requests v : table.inv) {
+    RPT_REQUIRE(v <= table.demand, "rpt-btab: table entry exceeds the demand domain");
+    out.U32(static_cast<std::uint32_t>(v));
+  }
   return payload;
 }
 
@@ -73,31 +60,22 @@ void DecodeTablePayload(ByteReader& in, const CutDemand& demand_of, BtabFile& fi
   table.subtree_nodes = in.U32();
   table.table_entries = in.U64();
   table.convolve_cells = in.U64();
-  const auto vmin = static_cast<Cost>(in.U32());
+  table.vmin = static_cast<Cost>(in.U32());
   const auto vmax = static_cast<Cost>(in.U32());
-  if (vmin > vmax || vmax >= kInf) Fail("table cost range is invalid");
-  in.ExpectRoom(static_cast<std::uint64_t>(vmax - vmin) + 1, 4);
-  std::vector<std::uint32_t> inv(static_cast<std::size_t>(vmax - vmin) + 1);
-  for (auto& v : inv) {
-    v = in.U32();
-    if (v > table.demand) Fail("table staircase index exceeds the demand domain");
+  if (table.vmin > vmax || vmax >= kInf) Fail("table cost range is invalid");
+  in.ExpectRoom(static_cast<std::uint64_t>(vmax - table.vmin) + 1, 4);
+  table.inv.resize(static_cast<std::size_t>(vmax - table.vmin) + 1);
+  for (std::size_t c = 0; c < table.inv.size(); ++c) {
+    table.inv[c] = in.U32();
+    if (table.inv[c] > table.demand) Fail("table staircase index exceeds the demand domain");
+    if (c > 0 && table.inv[c] > table.inv[c - 1]) Fail("table staircase is not monotone");
   }
-  for (std::size_t c = 1; c < inv.size(); ++c) {
-    if (inv[c] > inv[c - 1]) Fail("table staircase is not monotone");
+  // The top cost level must be reached: its step strictly descends.
+  const std::size_t last = table.inv.size() - 1;
+  if (last > 0 && table.inv[last] == table.inv[last - 1]) {
+    Fail("table staircase does not reach its maximum");
   }
   in.ExpectExhausted();
-
-  // Materialize — the mirror of the DP convolution's output loop, so the
-  // round trip is exact entry for entry.
-  table.table.assign(static_cast<std::size_t>(table.demand) + 1, kInf);
-  std::size_t hi = table.table.size();
-  for (Cost c = vmin; c <= vmax && hi > 0; ++c) {
-    const std::size_t u = inv[c - vmin];
-    for (std::size_t k = u; k < hi; ++k) table.table[k] = c;
-    hi = std::min(hi, static_cast<std::size_t>(u));
-  }
-  if (table.table.back() != vmin) Fail("table staircase does not reach its minimum");
-  if (table.table[inv.back()] != vmax) Fail("table staircase does not reach its maximum");
   file.tables.push_back(std::move(table));
 }
 

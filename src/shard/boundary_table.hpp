@@ -16,20 +16,19 @@
 // decoder can cross-check the walk: it must consume exactly record_count
 // records and exactly body_bytes bytes and land exactly on EOF.
 //
-// A TABLE payload stores the staircase *compressed* in the cost domain:
-// (vmin, vmax, inv[]) with inv[c - vmin] = smallest u such that F(u) <= c —
-// the same inverse form the DP's convolution uses internally. Reconstruction
-// is exact (the staircase is monotone with integer costs), so the table the
-// coordinator imports is byte-identical to the table the worker computed,
-// while the wire size is O(cost range), not O(demand).
+// A TABLE payload stores the staircase in the cost domain: (vmin, vmax,
+// inv[]) with inv[c - vmin] = smallest u such that F(u) <= c — the inverse
+// form the DP engine stores its tables in. The coordinator imports exactly
+// the entries the worker computed, and the wire size is O(cost range), not
+// O(demand).
 //
 // Corruption contract ("prefix or loud, never wrong", same as the WAL
 // corpus): DecodeBtab THROWS InvalidArgument on any damaged input — short
 // magic, truncated frame, CRC mismatch, record/byte-count mismatch, payload
 // that over- or under-runs its frame, trailing bytes, or any field that
 // fails semantic validation — including a TABLE record whose demand is not
-// the one the reader expects for its cut, refused before the table is
-// materialized. A btab is a complete artifact, not an
+// the one the reader expects for its cut, refused before its entries are
+// read. A btab is a complete artifact, not an
 // append-only log: there is no "valid prefix" to salvage, so unlike the WAL
 // even a torn tail refuses to load — the coordinator treats it as a failed
 // worker and re-dispatches. tests/test_shard.cpp drives the
@@ -56,26 +55,29 @@ inline constexpr char kBtabMagic[8] = {'R', 'P', 'T', 'B', 'T', 'A', 'B', '1'};
 /// shard stays well below; anything larger is a corrupt length field).
 inline constexpr std::uint32_t kMaxBtabRecordBytes = 1u << 28;
 
-/// Sanity cap on a shipped table's demand domain (entries materialized =
-/// demand + 1), on top of the reader's expected demand.
+/// Cap on a shipped table's demand: v1 stores each inv entry (a forwarded
+/// amount <= demand) as a u32, so larger subtrees cannot be shipped.
 inline constexpr std::uint64_t kMaxBtabDemand = std::uint64_t{1} << 31;
 
 /// The subtree demand the reader expects for a cut id — the coordinator
 /// answers from the megatree's SubtreeRequests. The decoder asks it for
-/// every TABLE record before allocating the table, so a record whose demand
-/// field lies under a valid CRC costs nothing. Throws InvalidArgument for a
+/// every TABLE record before reading its entries, so a record whose demand
+/// field lies under a valid CRC is refused early. Throws InvalidArgument for a
 /// cut the reader does not know.
 using CutDemand = std::function<Requests(NodeId cut)>;
 
 /// Phase-1 export: one cut subtree's boundary table.
 struct BoundaryTable {
   NodeId cut = kInvalidNode;   ///< cut subtree root, MEGATREE (global) id
-  std::uint64_t demand = 0;    ///< subtree demand; table has demand + 1 entries
+  std::uint64_t demand = 0;    ///< subtree demand
   std::uint32_t subtree_nodes = 0;  ///< nodes in the cut subtree
   // Worker-side work counters, aggregated by the coordinator.
   std::uint64_t table_entries = 0;
   std::uint64_t convolve_cells = 0;
-  multiple::NodDpEngine::CostTable table;  ///< materialized staircase, size demand + 1
+  /// The cut root's F table as on the wire: inv[c - vmin] = the smallest u
+  /// with F(u) <= c, for c = vmin..vmin + inv.size() - 1.
+  multiple::NodDpEngine::Cost vmin = 0;
+  multiple::NodDpEngine::InvTable inv;
 };
 
 /// Phase-2 export: one cut subtree's reconstructed solution at `budget`.

@@ -92,8 +92,8 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
     slices.emplace(cut.node, tree.SliceSubtree(cut.node));
     shard_of_cut.emplace(cut.node, cut.shard);
   }
-  // Every decode checks a table's demand against its cut before it
-  // materializes the table.
+  // Every decode checks a table's demand against its cut before it reads the
+  // table's entries.
   const CutDemand cut_demand = [&](NodeId cut) -> Requests {
     RPT_REQUIRE(shard_of_cut.contains(cut), "rpt-shard: boundary table names an unknown cut");
     return tree.SubtreeRequests(cut);
@@ -328,7 +328,7 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
       imported[table.cut] = 1;
       result.stats.worker_table_entries += table.table_entries;
       result.stats.worker_convolve_cells += table.convolve_cells;
-      engine.ImportLeafTable(global_to_spine[table.cut], std::move(table.table));
+      engine.ImportLeafTable(global_to_spine[table.cut], table.vmin, std::move(table.inv));
     }
   }
   engine.ComputeAll();

@@ -34,7 +34,7 @@ BoundaryTable ExportTable(const CutSolve& solve) {
   table.subtree_nodes = static_cast<std::uint32_t>(solve.slice->tree.Size());
   table.table_entries = engine.Work().table_entries;
   table.convolve_cells = engine.Work().convolve_cells;
-  table.table = engine.TableOf(solve.slice->tree.Root());
+  table.inv = engine.TableOf(solve.slice->tree.Root());  // vmin = 0: F(demand) = 0
   return table;
 }
 

@@ -1,8 +1,9 @@
 // Minimal work-stealing-free thread pool with chunked fork-join helpers.
 //
-// Used by the benchmark harness, the property-test sweeps, and — via the
-// process-wide solver pool — by the intra-instance parallel kernel (the
-// level-synchronous Multiple-NoD DP). Follows the Core
+// Used by the benchmark harness and the property-test sweeps. The
+// process-wide solver pool is the seam for intra-instance parallel kernels;
+// none uses it today (the Multiple-NoD DP and TreeBuilder::Build measured
+// faster serial). Follows the Core
 // Guidelines concurrency rules: RAII-joined threads (CP.23/CP.25), no
 // detached threads, data shared between tasks is owned by the caller and
 // partitioned by index range so tasks never write to the same element
@@ -180,8 +181,7 @@ void ParallelForChunked(ThreadPool* pool, std::size_t count, std::size_t grain, 
   if (state.error) std::rethrow_exception(std::exchange(state.error, nullptr));
 }
 
-/// The process-wide pool for intra-solver parallelism (the level-synchronous
-/// DP). Lazily created on first call with the width set by
+/// The process-wide pool for intra-solver parallelism. Lazily created on first call with the width set by
 /// SetSolverThreads. Returns nullptr when intra-solver parallelism is off
 /// (width 1) — callers pass the result straight to ParallelForChunked, which
 /// then runs inline. Solvers never own threads: they all share this pool, and

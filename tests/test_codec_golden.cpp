@@ -87,7 +87,8 @@ TEST(CodecGolden, BtabTableAndFragment) {
   table.subtree_nodes = 4;
   table.table_entries = 7;
   table.convolve_cells = 9;
-  table.table = {multiple::NodDpEngine::kInfCost, 3, 2, 1, 1, 0, 0};
+  table.vmin = 0;  // F = {inf, 3, 2, 1, 1, 0, 0}
+  table.inv = {5, 3, 2, 1};
   file.tables.push_back(table);
   shard::SolutionFragment fragment;
   fragment.cut = 17;

@@ -270,7 +270,7 @@ TEST(SolverGoldens, RandomTreeInstances) {
 }
 
 // ---------------------------------------------------------------------------
-// DP table bounds (the Convolve quadratic-blow-up guard).
+// DP table bounds: stored tables never outgrow the demand domain.
 // ---------------------------------------------------------------------------
 
 // Analytic bound on stored DP entries: every node's F table has subtree
@@ -297,8 +297,7 @@ TEST(MultipleNodDpBounds, TablesStayDemandBounded) {
   ASSERT_TRUE(result.feasible);
   EXPECT_GT(result.stats.table_entries, 0u);
   EXPECT_LE(result.stats.table_entries, DpEntryBound(instance.GetTree()));
-  // The cost-domain convolution must be far below the request-domain
-  // quadratic (sum over nodes of the two merged table sizes multiplied).
+  // The merges must stay far below the request-domain quadratic.
   EXPECT_GT(result.stats.convolve_cells, 0u);
   const std::uint64_t total = instance.GetTree().TotalRequests();
   EXPECT_LT(result.stats.convolve_cells, total * total);
@@ -307,7 +306,7 @@ TEST(MultipleNodDpBounds, TablesStayDemandBounded) {
 TEST(MultipleNodDpBounds, HugeDemandLeadingInfRuns) {
   // One client with demand far above W on a chain: the leaf table starts
   // with a long kInf run (at least r - d*W forwarded no matter what), which
-  // the staircase convolution must skip rather than scan.
+  // the DP must never store or scan.
   const Requests demand = 50000;
   const Requests capacity = 10;
   const std::uint32_t depth = 6;  // client + 5 internal ancestors

@@ -133,37 +133,5 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MultipleNodDpAgreement,
                                            DpCase{2, 8, 5, 10, 10},
                                            DpCase{4, 6, 4, 6, 17}));  // heavy splitting
 
-// Scalar reference for the vectorized staircase-merge inner loop.
-void MergeMinShiftScalar(std::vector<std::uint32_t>& out,
-                         const std::vector<std::uint32_t>& rhs, std::uint32_t shift) {
-  for (std::size_t j = 0; j < rhs.size(); ++j) {
-    out[j] = std::min(out[j], rhs[j] + shift);
-  }
-}
-
-TEST(MergeMinShift, MatchesScalarReference) {
-  Rng rng(4242);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.NextBelow(300);
-    std::vector<std::uint32_t> out(n);
-    std::vector<std::uint32_t> rhs(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      // Include the UINT32_MAX "unwritten" sentinel the convolution uses.
-      out[j] = rng.NextBool(0.2) ? std::numeric_limits<std::uint32_t>::max()
-                                 : static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
-      rhs[j] = static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
-    }
-    const auto shift = static_cast<std::uint32_t>(rng.NextBelow(1 << 20));
-    std::vector<std::uint32_t> expected = out;
-    MergeMinShiftScalar(expected, rhs, shift);
-    detail::MergeMinShift(out.data(), rhs.data(), shift, n);
-    EXPECT_EQ(out, expected) << "round " << round;
-  }
-}
-
-TEST(MergeMinShift, ZeroLengthIsANoop) {
-  detail::MergeMinShift(nullptr, nullptr, 7, 0);  // must not dereference
-}
-
 }  // namespace
 }  // namespace rpt::multiple

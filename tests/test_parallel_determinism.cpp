@@ -1,8 +1,9 @@
-// Determinism guards for intra-instance parallelism: the level-synchronous
-// Multiple-NoD DP must be byte-identical to its serial form at every thread
-// count. Runs the same inputs at solver widths 1 (serial path), 2, and 7
-// (more workers than the machine may have cores, which is exactly the
-// oversubscribed case worth exercising) and compares every solver output.
+// Determinism guards for intra-instance parallelism: the Multiple-NoD DP
+// must be byte-identical at every solver-pool width. Runs the same inputs at
+// widths 1 (serial path), 2, and 7 (more workers than the machine may have
+// cores, which is exactly the oversubscribed case worth exercising) and
+// compares every solver output. (The DP sweep itself is serial since its
+// merges became linear; these guards keep any future parallel path honest.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,9 +74,8 @@ TEST(ParallelMultipleNodDp, ByteIdenticalToSerialAcrossThreadCounts) {
 }
 
 TEST(ParallelMultipleNodDp, InfeasibleDetectionMatchesAcrossThreadCounts) {
-  // A giant client demand on a short chain is infeasible; the parallel level
-  // sweep must agree with the serial verdict (and not blow up on the
-  // leading-kInf staircase runs).
+  // A giant client demand on a short chain is infeasible; every solver-pool
+  // width must agree with the serial verdict.
   TreeBuilder b;
   const NodeId root = b.AddRoot();
   NodeId cur = root;

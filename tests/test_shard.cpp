@@ -163,7 +163,8 @@ BtabFile SampleBtab() {
   plain.subtree_nodes = 9;
   plain.table_entries = 41;
   plain.convolve_cells = 120;
-  plain.table = {3, 3, 2, 2, 1, 1, 0};
+  plain.vmin = 0;  // F = {3, 3, 2, 2, 1, 1, 0}
+  plain.inv = {6, 4, 2, 0};
   file.tables.push_back(plain);
 
   BoundaryTable leading_inf;  // locally infeasible at small u: leading +inf
@@ -172,8 +173,8 @@ BtabFile SampleBtab() {
   leading_inf.subtree_nodes = 4;
   leading_inf.table_entries = 7;
   leading_inf.convolve_cells = 9;
-  leading_inf.table = {multiple::NodDpEngine::kInfCost, multiple::NodDpEngine::kInfCost,
-                       2, 1, 1, 0, 0};
+  leading_inf.vmin = 0;  // F = {inf, inf, 2, 1, 1, 0, 0}
+  leading_inf.inv = {5, 3, 2};
   file.tables.push_back(leading_inf);
 
   SolutionFragment fragment;
@@ -202,7 +203,8 @@ TEST(BoundaryTableCodec, RoundTripsTablesAndFragments) {
     EXPECT_EQ(back.tables[i].subtree_nodes, file.tables[i].subtree_nodes);
     EXPECT_EQ(back.tables[i].table_entries, file.tables[i].table_entries);
     EXPECT_EQ(back.tables[i].convolve_cells, file.tables[i].convolve_cells);
-    EXPECT_EQ(back.tables[i].table, file.tables[i].table);
+    EXPECT_EQ(back.tables[i].vmin, file.tables[i].vmin);
+    EXPECT_EQ(back.tables[i].inv, file.tables[i].inv);
   }
   ASSERT_EQ(back.fragments.size(), file.fragments.size());
   EXPECT_EQ(back.fragments[0].cut, file.fragments[0].cut);
@@ -283,11 +285,11 @@ TEST(BoundaryTableCodec, RawTableMatchesTheEncoder) {
   BtabFile file;
   file.tables.push_back(SampleBtab().tables[1]);
   EXPECT_EQ(raw, EncodeBtab(file));
-  EXPECT_EQ(DecodeBtab(raw, SampleDemand).tables[0].table, file.tables[0].table);
+  EXPECT_EQ(DecodeBtab(raw, SampleDemand).tables[0].inv, file.tables[0].inv);
 }
 
 // A table whose demand is not the reader's expectation for its cut is
-// refused before it is materialized — a 2^30 lie under a valid CRC costs
+// refused before its entries are read — a 2^30 lie under a valid CRC costs
 // no allocation — and so is a cut the reader does not know.
 TEST(BoundaryTableCodec, DemandOtherThanTheCutsIsRefusedBeforeAllocation) {
   for (const std::uint64_t lie : {std::uint64_t{5}, std::uint64_t{7}, std::uint64_t{1} << 30,
@@ -306,6 +308,43 @@ TEST(BoundaryTableCodec, DemandOtherThanTheCutsIsRefusedBeforeAllocation) {
 TEST(BoundaryTableCodec, StaircaseTopThatNoEntryTakesIsRefused) {
   EXPECT_THROW((void)DecodeBtab(RawTableBtab(23, 6, 0, 3, {5, 3, 2, 2}), SampleDemand),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Importing a boundary table at a spine leaf.
+// ---------------------------------------------------------------------------
+
+// The engine merges an imported table's slopes linearly, which is exact only
+// for a cut root's F table; every other shape is refused, never imported.
+TEST(ImportLeafTable, RefusesAnythingButAConvexFTableOfTheLeafDemand) {
+  TreeBuilder builder;
+  const NodeId root = builder.AddRoot();
+  const NodeId leaf = builder.AddClient(root, 1, 6);
+  builder.AddClient(root, 1, 3);
+  const Tree spine = builder.Build();
+  multiple::NodDpEngine engine(spine, 4);
+  using Inv = multiple::NodDpEngine::InvTable;
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 1, Inv{6, 4, 2, 0}), InvalidArgument);  // vmin != 0
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{}), InvalidArgument);            // no entry
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{5, 3, 2}), InvalidArgument);     // inv[0] != 6
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{7, 4, 2}), InvalidArgument);     // inv[0] != 6
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{6, 4, 4}), InvalidArgument);     // flat step
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{6, 3, 5}), InvalidArgument);     // rises
+  EXPECT_THROW(engine.ImportLeafTable(leaf, 0, Inv{6, 5, 2, 0}), InvalidArgument);  // slopes 1, 3
+  EXPECT_THROW(engine.ImportLeafTable(root, 0, Inv{9, 5, 1, 0}), InvalidArgument);  // not a leaf
+
+  // The leaf's own F table, {6, 2} (one replica serves W = 4), solves like
+  // the plain leaf; a convex two-replica table behind the leaf absorbs all
+  // 6, leaving the root one replica for the other client's 3.
+  const Instance plain(gen::MakeStar(2, std::vector<Requests>{6, 3}), 4, kNoDistanceLimit);
+  engine.ImportLeafTable(leaf, 0, Inv{6, 2});
+  engine.ComputeAll();
+  ASSERT_TRUE(engine.Feasible());
+  EXPECT_EQ(multiple::NodDpEngine::CostAt(engine.TableOf(root), 0),
+            multiple::SolveMultipleNodDp(plain).solution.ReplicaCount());
+  engine.ImportLeafTable(leaf, 0, Inv{6, 3, 0});
+  engine.ComputeAll();
+  EXPECT_EQ(multiple::NodDpEngine::CostAt(engine.TableOf(root), 0), 3u);
 }
 
 // ---------------------------------------------------------------------------
