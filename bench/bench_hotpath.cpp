@@ -34,6 +34,12 @@
 //   multiple-feasible  the tree router (flow::MultipleFeasible) on the same
 //                      placement, NoD; multiple-feasible-dmax is the same
 //                      probe with dmax=12 binding
+//   serve-publish      the per-batch publish path of a serve node at
+//                      --clients: a fixed seeded trace of 8-touch batches
+//                      through IncrementalSolver::Apply, PlacementSnapshot::
+//                      Build on the previous snapshot, and CanonicalHash
+//                      (initial solve and snapshot untimed)
+#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -44,8 +50,12 @@
 #include "flow/assignment.hpp"
 #include "flow/tree_router.hpp"
 #include "gen/random_tree.hpp"
+#include "incremental/incremental_solver.hpp"
+#include "incremental/trace_gen.hpp"
+#include "model/validate.hpp"
 #include "multiple/multiple_nod_dp.hpp"
 #include "runner/batch_runner.hpp"
+#include "serve/placement_snapshot.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -132,6 +142,40 @@ core::RunResult SolveMultipleFeasible(const Instance& instance) {
   const bool feasible = flow::MultipleFeasible(instance, replicas);
   result.elapsed_ms = timer.ElapsedMs();
   RPT_CHECK(feasible);  // W=40 >= the two children's 20 requests at every parent
+  return result;
+}
+
+std::atomic<std::uint64_t> g_publish_hash_sink{0};  // keeps the hashes observable
+
+// The publish path of one serve node, batch by batch: re-solve, snapshot
+// built on the previous one, hash (what a replication link ships).
+core::RunResult SolvePublishTrace(const Instance& instance) {
+  constexpr std::uint64_t kBatches = 32;
+  incremental::TraceConfig config;
+  config.ticks = kBatches;
+  config.touches_per_tick = 8;
+  config.max_demand = 10;
+  config.add_remove_fraction = 0.2;
+  const incremental::UpdateTrace trace =
+      incremental::MakeRandomTrace(instance.GetTree(), config, /*seed=*/31);
+  incremental::IncrementalSolver solver(instance);
+  auto snapshot = serve::PlacementSnapshot::Build(solver.View(), solver.Capacity(),
+                                                  solver.Demands(), solver.Current(), 1);
+  std::uint64_t hashes = 0;
+  core::RunResult result;
+  Timer timer;
+  for (std::uint64_t k = 0; k < kBatches; ++k) {
+    (void)solver.Apply(trace[k]);
+    snapshot = serve::PlacementSnapshot::Build(solver.View(), solver.Capacity(), solver.Demands(),
+                                               solver.Current(), k + 2, snapshot.get());
+    hashes ^= snapshot->CanonicalHash();
+  }
+  result.elapsed_ms = timer.ElapsedMs();
+  g_publish_hash_sink.fetch_xor(hashes, std::memory_order_relaxed);
+  result.feasible = solver.Feasible();
+  result.solution = solver.Current();
+  result.validation =
+      ValidateSolution(solver.MaterializeInstance(), Policy::kMultiple, result.solution);
   return result;
 }
 
@@ -256,6 +300,7 @@ int main(int argc, char** argv) {
       {"multiple-feasible", clients, SolveMultipleFeasible, {}, /*metric_only=*/true});
   kernels.push_back({"multiple-feasible-dmax", clients, SolveMultipleFeasible, {},
                      /*metric_only=*/true, /*dmax=*/12});
+  kernels.push_back({"serve-publish", clients, SolvePublishTrace, {}});
   if (big_clients != 0) {
     // Million-node tier: the parallel-build headline plus two full solvers
     // proving million-node instances run end-to-end. The DP runs at

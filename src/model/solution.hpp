@@ -36,8 +36,12 @@ struct Solution {
     return total;
   }
 
-  /// Sorts replicas and assignment into a canonical order (for comparisons
-  /// and golden tests).
+  /// Puts the solution in canonical form: replicas ascending and unique;
+  /// assignment sorted by (client, server) with duplicate pairs merged
+  /// (amounts summed) and zero-amount entries dropped. Two solutions with
+  /// the same routing canonicalize to the same bytes (comparisons, golden
+  /// tests, snapshot hashes). A stable radix sort: O(entries) time with no
+  /// term in the largest node id, and one scratch copy of the assignment.
   void Canonicalize();
 };
 

@@ -144,9 +144,14 @@ std::unique_ptr<ServeHarness> ServeHarness::RecoverFrom(
 }
 
 void ServeHarness::PublishCurrent() {
-  store_.Publish(PlacementSnapshot::Build(solver_->View(), solver_->Capacity(),
-                                          solver_->Demands(), solver_->Current(),
-                                          next_version_));
+  // The published snapshot is the base: the new one shares every page this
+  // batch left unchanged (none before the first publish).
+  SnapshotStore::Ref base = store_.Acquire();
+  auto snapshot = PlacementSnapshot::Build(solver_->View(), solver_->Capacity(),
+                                           solver_->Demands(), solver_->Current(),
+                                           next_version_, base.get());
+  base.Release();
+  store_.Publish(std::move(snapshot));
   ++next_version_;
 }
 

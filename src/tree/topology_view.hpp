@@ -82,6 +82,14 @@ class TopologyView {
   [[nodiscard]] Distance DistToParent(NodeId id) const {
     return tree_ != nullptr ? tree_->DistToParent(id) : overlay_->DistToParent(id);
   }
+  /// Parent / edge-length columns indexed by NodeId (dead overlay slots
+  /// hold stale values — guard with IsLive()).
+  [[nodiscard]] std::span<const NodeId> ParentColumn() const noexcept {
+    return tree_ != nullptr ? tree_->ParentColumn() : overlay_->ParentColumn();
+  }
+  [[nodiscard]] std::span<const Distance> DistColumn() const noexcept {
+    return tree_ != nullptr ? tree_->DistColumn() : overlay_->DistColumn();
+  }
   [[nodiscard]] std::span<const NodeId> Children(NodeId id) const {
     return tree_ != nullptr ? tree_->Children(id) : overlay_->Children(id);
   }
@@ -104,6 +112,9 @@ class TopologyView {
   [[nodiscard]] Distance DistToAncestor(NodeId node, NodeId ancestor) const {
     return tree_ != nullptr ? tree_->DistToAncestor(node, ancestor)
                             : overlay_->DistToAncestor(node, ancestor);
+  }
+  [[nodiscard]] std::uint64_t TopologyStamp() const noexcept {
+    return tree_ != nullptr ? tree_->TopologyStamp() : overlay_->TopologyStamp();
   }
   [[nodiscard]] Requests TotalRequests() const noexcept {
     return tree_ != nullptr ? tree_->TotalRequests() : overlay_->TotalRequests();

@@ -1,6 +1,7 @@
 #include "tree/tree.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace rpt {
 
@@ -149,6 +150,11 @@ void TreeBuilder::Derive(Tree& tree, std::size_t n, std::size_t client_count) {
     tree.post_order_[(tree.Tout(static_cast<NodeId>(id)) - tree.depth_[id] - 1) / 2] =
         static_cast<NodeId>(id);
   }
+}
+
+std::uint64_t NextTopologyStamp() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 Tree Tree::WithRequests(std::span<const Requests> requests) const {

@@ -36,6 +36,9 @@ enum class NodeKind : std::uint8_t {
 class TreeBuilder;
 struct SubtreeSlice;
 
+/// Draws a fresh, process-unique topology stamp (see Tree::TopologyStamp).
+[[nodiscard]] std::uint64_t NextTopologyStamp() noexcept;
+
 /// Immutable rooted tree with weighted edges and client request counts.
 class Tree {
  public:
@@ -70,6 +73,9 @@ class Tree {
 
   /// Edge length δ_j from node j to its parent; kNoDistanceLimit for root.
   [[nodiscard]] Distance DistToParent(NodeId id) const { return delta_[Check(id)]; }
+  /// The whole parent / edge-length columns (indexed by NodeId).
+  [[nodiscard]] std::span<const NodeId> ParentColumn() const noexcept { return parent_; }
+  [[nodiscard]] std::span<const Distance> DistColumn() const noexcept { return delta_; }
 
   /// Children of a node in insertion order (empty for clients).
   [[nodiscard]] std::span<const NodeId> Children(NodeId id) const {
@@ -114,6 +120,12 @@ class Tree {
 
   /// Total requests over all clients.
   [[nodiscard]] Requests TotalRequests() const noexcept { return total_requests_; }
+
+  /// Process-unique id of this tree's skeleton (parent links and edge
+  /// lengths): two topologies with equal stamps have equal skeletons. Copies
+  /// and WithRequests keep the stamp; every newly built tree draws a fresh
+  /// one. Lets a snapshot share its skeleton with a previous one in O(1).
+  [[nodiscard]] std::uint64_t TopologyStamp() const noexcept { return topology_stamp_; }
 
   /// Sum of client requests within subtree(j) (precomputed).
   [[nodiscard]] Requests SubtreeRequests(NodeId id) const { return subtree_requests_[Check(id)]; }
@@ -166,6 +178,7 @@ class Tree {
   std::vector<std::uint32_t> subtree_size_;
   Requests total_requests_ = 0;
   std::uint32_t arity_ = 0;
+  std::uint64_t topology_stamp_ = NextTopologyStamp();
 };
 
 /// A subtree extracted from a larger tree as a standalone Tree, plus the id

@@ -15,7 +15,7 @@ constexpr Distance kDistRootBound = kNoDistanceLimit / 2;
 
 }  // namespace
 
-TreeOverlay::TreeOverlay(const Tree& base) {
+TreeOverlay::TreeOverlay(const Tree& base) : topology_stamp_(base.TopologyStamp()) {
   const std::size_t n = base.Size();
   kind_.resize(n);
   parent_.resize(n);
@@ -178,6 +178,9 @@ void TreeOverlay::RecomputeMaxDepth() {
 }
 
 NodeId TreeOverlay::AttachSubtree(NodeId parent, const SubtreeSpec& spec) {
+  // Drawn before any write: even a mutation that throws half-way leaves
+  // no stale stamp behind.
+  topology_stamp_ = NextTopologyStamp();
   Check(parent);
   RPT_REQUIRE(alive_[parent] != 0, "TreeOverlay::AttachSubtree: parent is dead");
   RPT_REQUIRE(kind_[parent] == NodeKind::kInternal,
@@ -260,6 +263,7 @@ NodeId TreeOverlay::AttachSubtree(NodeId parent, const SubtreeSpec& spec) {
 }
 
 void TreeOverlay::DetachSubtree(NodeId root, std::vector<NodeId>* removed) {
+  topology_stamp_ = NextTopologyStamp();
   Check(root);
   RPT_REQUIRE(alive_[root] != 0, "TreeOverlay::DetachSubtree: node is dead");
   RPT_REQUIRE(root != Root(), "TreeOverlay::DetachSubtree: cannot detach the root");
@@ -295,6 +299,7 @@ void TreeOverlay::DetachSubtree(NodeId root, std::vector<NodeId>* removed) {
 }
 
 void TreeOverlay::MigrateSubtree(NodeId root, NodeId new_parent, Distance new_delta) {
+  topology_stamp_ = NextTopologyStamp();
   Check(root);
   Check(new_parent);
   RPT_REQUIRE(alive_[root] != 0, "TreeOverlay::MigrateSubtree: node is dead");
@@ -328,6 +333,7 @@ void TreeOverlay::MigrateSubtree(NodeId root, NodeId new_parent, Distance new_de
 }
 
 void TreeOverlay::SetLinkDelta(NodeId node, Distance delta) {
+  topology_stamp_ = NextTopologyStamp();
   Check(node);
   RPT_REQUIRE(alive_[node] != 0, "TreeOverlay::SetLinkDelta: node is dead");
   RPT_REQUIRE(node != Root(), "TreeOverlay::SetLinkDelta: the root has no parent link");

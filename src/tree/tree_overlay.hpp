@@ -128,6 +128,9 @@ class TreeOverlay {
   [[nodiscard]] std::span<const Requests> RequestsColumn() const noexcept { return requests_; }
   [[nodiscard]] NodeId Parent(NodeId id) const { return parent_[Check(id)]; }
   [[nodiscard]] Distance DistToParent(NodeId id) const { return delta_[Check(id)]; }
+  /// The whole parent / edge-length columns; dead slots hold stale values.
+  [[nodiscard]] std::span<const NodeId> ParentColumn() const noexcept { return parent_; }
+  [[nodiscard]] std::span<const Distance> DistColumn() const noexcept { return delta_; }
   [[nodiscard]] std::span<const NodeId> Children(NodeId id) const;
   /// Live clients in ascending id order (lazily rebuilt after mutations).
   [[nodiscard]] std::span<const NodeId> Clients() const;
@@ -177,6 +180,12 @@ class TreeOverlay {
   /// link-delta; SetRequests does not count). 0 means Compact() is the
   /// identity remap.
   [[nodiscard]] std::uint64_t TopologyVersion() const noexcept { return topology_version_; }
+
+  /// Process-unique id of the live skeleton (live set, parent links, edge
+  /// lengths) — Tree::TopologyStamp's contract: an overlay over a base Tree
+  /// starts with the tree's stamp, copies keep it, and every topology
+  /// mutation draws a fresh one.
+  [[nodiscard]] std::uint64_t TopologyStamp() const noexcept { return topology_stamp_; }
 
   /// Fraction of allocated slots that are tombstones, in [0, 1] — the input
   /// to a caller's compaction trigger policy (see docs/ARCHITECTURE.md).
@@ -257,6 +266,7 @@ class TreeOverlay {
   std::size_t live_client_count_ = 0;
   std::uint32_t max_depth_ = 0;
   std::uint64_t topology_version_ = 0;
+  std::uint64_t topology_stamp_ = NextTopologyStamp();
 
   // Lazy caches (rebuilt on demand from the update thread).
   mutable std::vector<NodeId> clients_cache_;

@@ -3,6 +3,10 @@
 // mode gets its own test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "model/instance.hpp"
 #include "model/solution.hpp"
 #include "model/validate.hpp"
@@ -181,6 +185,89 @@ TEST(Solution, CanonicalizeMergesAndSorts) {
   ASSERT_EQ(s.assignment.size(), 2u);
   EXPECT_EQ(s.assignment[0], (ServiceEntry{2, 1, 6}));
   EXPECT_EQ(s.assignment[1], (ServiceEntry{4, 4, 5}));
+}
+
+// The comparison sort Canonicalize() used before it became a radix sort:
+// the oracle for the canonical form.
+Solution ReferenceCanonical(Solution s) {
+  std::sort(s.replicas.begin(), s.replicas.end());
+  s.replicas.erase(std::unique(s.replicas.begin(), s.replicas.end()), s.replicas.end());
+  std::sort(s.assignment.begin(), s.assignment.end(),
+            [](const ServiceEntry& a, const ServiceEntry& b) {
+              if (a.client != b.client) return a.client < b.client;
+              return a.server < b.server;
+            });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < s.assignment.size();) {
+    const NodeId client = s.assignment[i].client;
+    const NodeId server = s.assignment[i].server;
+    Requests amount = 0;
+    for (; i < s.assignment.size() && s.assignment[i].client == client &&
+           s.assignment[i].server == server;
+         ++i) {
+      amount += s.assignment[i].amount;
+    }
+    if (amount > 0) s.assignment[out++] = ServiceEntry{client, server, amount};
+  }
+  s.assignment.resize(out);
+  return s;
+}
+
+void ExpectCanonicalMatchesReference(const Solution& input) {
+  Solution got = input;
+  got.Canonicalize();
+  const Solution want = ReferenceCanonical(input);
+  EXPECT_EQ(got.replicas, want.replicas);
+  EXPECT_EQ(got.assignment, want.assignment);
+}
+
+TEST(Solution, CanonicalizeMatchesTheComparisonSortOracle) {
+  {
+    SCOPED_TRACE("duplicate pairs merge, zero amounts drop, replicas dedupe");
+    Solution s;
+    s.replicas = {9, 3, 9, 0, 3, 3};
+    s.assignment = {{5, 9, 2}, {5, 3, 0}, {1, 0, 4}, {5, 9, 3}, {1, 0, 0}, {5, 3, 1}, {2, 2, 0}};
+    ExpectCanonicalMatchesReference(s);
+  }
+  {
+    SCOPED_TRACE("sparse ids near kInvalidNode - 1");
+    const NodeId top = kInvalidNode - 1;
+    Solution s;
+    s.replicas = {top, 0, top - 1, top, 7};
+    s.assignment = {{top, top - 1, 1}, {0, top, 2}, {top - 1, 0, 3}, {top, 0, 4},
+                    {top, top - 1, 5}, {0, 7, 6},   {top, top, 0}};
+    ExpectCanonicalMatchesReference(s);
+  }
+  {
+    SCOPED_TRACE("one client served by 10^4 servers");
+    std::mt19937_64 rng(7);
+    Solution s;
+    for (NodeId server = 0; server < 10000; ++server) {
+      s.assignment.push_back({123456, server * 3 + 1, 1 + rng() % 5});
+      s.replicas.push_back(server * 3 + 1);
+    }
+    std::shuffle(s.assignment.begin(), s.assignment.end(), rng);
+    std::shuffle(s.replicas.begin(), s.replicas.end(), rng);
+    ExpectCanonicalMatchesReference(s);
+  }
+  {
+    SCOPED_TRACE("empty solution");
+    ExpectCanonicalMatchesReference(Solution{});
+  }
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE("random mix, seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const NodeId span = seed % 2 == 0 ? 64 : kInvalidNode;  // dense or sparse ids
+    const NodeId offset = seed % 4 < 2 ? 0 : span == 64 ? 1u << 30 : 0;
+    Solution s;
+    const std::size_t entries = rng() % 3000;
+    for (std::size_t i = 0; i < entries; ++i) {
+      s.assignment.push_back({offset + static_cast<NodeId>(rng() % span),
+                              offset + static_cast<NodeId>(rng() % span), rng() % 4});
+      if (i % 3 == 0) s.replicas.push_back(offset + static_cast<NodeId>(rng() % span));
+    }
+    ExpectCanonicalMatchesReference(s);
+  }
 }
 
 TEST(Solution, RoutedRequestsSumsAmounts) {

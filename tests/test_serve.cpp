@@ -13,7 +13,8 @@
 //    under replay-style churn; every answer must be byte-identical to the
 //    precomputed answer for the version it claims (no torn reads, no
 //    mixed-version state), and TSan (CI Debug leg) watches for
-//    use-after-reclaim.
+//    use-after-reclaim. A third variant pins one snapshot while dozens of
+//    versions sharing its pages are built on top and reclaimed.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -731,6 +732,108 @@ TEST(SwapTorture, PinnedSnapshotsSurviveTopologyMutation) {
   // The published world really did grow/shrink under the readers.
   const SnapshotStore::Ref last = harness.Pin();
   EXPECT_GT(last->Size(), tree.Size());
+}
+
+TEST(SwapTorture, PinnedVersionOutlivesSixtyFourBasedPublishes) {
+  // Snapshots share unchanged pages with the version they were built on. A
+  // reader pinning version k holds k's pages through k's own ownership:
+  // while the publisher builds and publishes >= 64 more versions on top
+  // (each sharing pages with k or its successors) and the store reclaims
+  // them, the pinned snapshot must keep answering exactly as a from-scratch
+  // build of state k does, with the same hash. The TSan CI leg watches the
+  // page reference counts drop under the reader.
+  gen::BinaryTreeConfig cfg;
+  cfg.clients = 4096;  // 8191 nodes: eight pages
+  cfg.min_requests = 1;
+  cfg.max_requests = 9;
+  const Instance instance(gen::GenerateFullBinaryTree(cfg, 41), /*capacity=*/30);
+  const Tree& tree = instance.GetTree();
+
+  constexpr std::size_t kPinnedAt = 6;
+  constexpr std::size_t kLaterPublishes = 70;
+  incremental::TraceConfig trace_config;
+  trace_config.ticks = kPinnedAt + kLaterPublishes;
+  trace_config.touches_per_tick = 8;
+  trace_config.max_demand = 9;
+  trace_config.add_remove_fraction = 0.25;
+  const UpdateTrace trace = MakeRandomTrace(tree, trace_config, 91);
+
+  std::vector<QueryRequest> queries;
+  for (NodeId id = 0; id < tree.Size(); id += 7) {
+    queries.push_back({tree.IsClient(id) ? QueryKind::kWhichReplica : QueryKind::kResidual,
+                       id, 0});
+    queries.push_back({QueryKind::kAttachCost, id, (id % 5) + 1});
+  }
+
+  IncrementalSolver solver(instance);
+  SnapshotStore store;
+  std::uint64_t version = 1;
+  const auto publish_next = [&] {
+    SnapshotStore::Ref base = store.Acquire();
+    auto next = PlacementSnapshot::Build(solver.View(), solver.Capacity(), solver.Demands(),
+                                         solver.Current(), version, base.get());
+    base.Release();
+    store.Publish(std::move(next));
+    ++version;
+  };
+  publish_next();
+  for (std::size_t tick = 0; tick + 1 < kPinnedAt; ++tick) {
+    (void)solver.Apply(trace[tick]);
+    publish_next();
+  }
+  (void)solver.Apply(trace[kPinnedAt - 1]);
+  // Version k, built on the published k-1 like its published twin.
+  std::unique_ptr<const PlacementSnapshot> pinned;
+  {
+    const SnapshotStore::Ref base = store.Acquire();
+    pinned = PlacementSnapshot::Build(solver.View(), solver.Capacity(), solver.Demands(),
+                                      solver.Current(), version, base.get());
+  }
+  const auto reference = SnapshotOf(solver, version);
+  std::vector<QueryResponse> expected;
+  for (const QueryRequest& query : queries) expected.push_back(Answer(*reference, query));
+  const std::uint64_t expected_hash = reference->CanonicalHash();
+  ASSERT_EQ(pinned->CanonicalHash(), expected_hash);
+  publish_next();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> rounds{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::size_t at = r;
+      while (!done.load(std::memory_order_acquire)) {
+        for (std::size_t i = 0; i < 64; ++i, ++at) {
+          const std::size_t q = at % queries.size();
+          if (Answer(*pinned, queries[q]) != expected[q]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (pinned->CanonicalHash() != expected_hash) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        // The current version too: every page it reads may be shared.
+        const SnapshotStore::Ref current = store.Acquire();
+        (void)Answer(*current, queries[at % queries.size()]);
+        rounds.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::size_t tick = kPinnedAt; tick < trace.size(); ++tick) {
+    (void)solver.Apply(trace[tick]);
+    publish_next();
+  }
+  while (rounds.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(store.Publishes(), kPinnedAt + 1 + 64);
+  EXPECT_EQ(pinned->CanonicalHash(), expected_hash);
+  // The last published version, built through the whole chain of bases,
+  // is what a from-scratch build says.
+  EXPECT_EQ(store.Acquire()->CanonicalHash(), SnapshotOf(solver, version - 1)->CanonicalHash());
 }
 
 }  // namespace
