@@ -13,8 +13,8 @@
 // scripts/bench_compare.py like every other hot-path kernel.
 //
 // Like bench_hotpath, cells run on a single batch worker and --threads sets
-// the *solver pool* width (the dirty chains of one re-solve recompute in
-// parallel). The --json report embeds wall time and is machine-dependent;
+// the *solver pool* width, which no re-solve uses: the dirty chains of one
+// re-solve recompute serially. The --json report embeds wall time and is machine-dependent;
 // the deterministic half (costs, resolves, recompute/reuse counters) goes
 // to --det-json, which CI byte-diffs across --threads values — that diff is
 // the CI gate proving incremental solutions are thread-count invariant.
@@ -100,8 +100,9 @@ int main(int argc, char** argv) {
   RPT_REQUIRE(capacity > 0 && ticks > 0, "bench_incremental: --capacity/--ticks must be > 0");
   const std::vector<double> fractions = ParseFractionList(cli.GetString("fractions"));
 
-  // --threads feeds the solver pool (dirty chains recompute in parallel);
-  // cells run sequentially on one batch worker, as in bench_hotpath.
+  // --threads sizes the solver pool, which the serial dirty-chain recompute
+  // does not use; cells run sequentially on one batch worker, as in
+  // bench_hotpath.
   SetSolverThreads(flags.threads);
 
   const auto make_instance = [clients, capacity](std::uint64_t seed) {

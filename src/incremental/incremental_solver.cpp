@@ -21,12 +21,8 @@ IncrementalSolver::IncrementalSolver(const Instance& instance, Options options)
       demand_(tree_.Size()) {
   RPT_REQUIRE(!instance.HasDistanceConstraint(),
               "incremental: only valid without distance constraints (NoD)");
-  if (options_.engine == Engine::kIncremental) {
-    if (options_.policy == Policy::kMultiple) {
-      engine_.emplace(tree_, capacity_);
-    } else {
-      single_engine_.emplace(TopologyView(tree_), capacity_);
-    }
+  if (options_.engine == Engine::kIncremental && options_.policy == Policy::kMultiple) {
+    engine_.emplace(tree_, capacity_);
   }
   for (NodeId id = 0; id < tree_.Size(); ++id) demand_[id] = tree_.RequestsOf(id);
   total_demand_ = tree_.TotalRequests();
@@ -43,12 +39,8 @@ IncrementalSolver::IncrementalSolver(const Instance& base, TreeOverlay restored,
   RPT_REQUIRE(!base.HasDistanceConstraint(),
               "incremental: only valid without distance constraints (NoD)");
   RPT_REQUIRE(capacity_ > 0, "incremental: restored capacity must be positive");
-  if (options_.engine == Engine::kIncremental) {
-    if (options_.policy == Policy::kMultiple) {
-      engine_.emplace(TopologyView(*overlay_), capacity_);
-    } else {
-      single_engine_.emplace(TopologyView(*overlay_), capacity_);
-    }
+  if (options_.engine == Engine::kIncremental && options_.policy == Policy::kMultiple) {
+    engine_.emplace(TopologyView(*overlay_), capacity_);
   }
   // The overlay's request column IS the demand state (SetRequests mirrors
   // every demand event into it), so the restored overlay carries demands.
@@ -185,7 +177,6 @@ bool IncrementalSolver::Apply(std::span<const UpdateEvent> events) {
     total_demand_ = total_demand_ - old + value;
     if (overlay_) overlay_->SetRequests(client, value);  // keep aggregates in sync
     if (engine_) engine_->SetDemand(client, value);
-    if (single_engine_) single_engine_->SetDemand(client, value);
     touched_scratch_.push_back(client);
   };
   for (const UpdateEvent& event : events) {
@@ -349,9 +340,6 @@ bool IncrementalSolver::ApplyTopologyBatch(std::span<const UpdateEvent> events) 
   if (engine_) {
     engine_->ApplyTopology(TopologyView(*overlay_), children_changed, removed);
   }
-  if (single_engine_) {
-    single_engine_->ApplyTopology(TopologyView(*overlay_), removed);
-  }
   Resolve(seeds, /*capacity_changed=*/capacity_changed);
   return feasible_;
 }
@@ -361,48 +349,20 @@ void IncrementalSolver::Resolve(std::span<const NodeId> touched, bool full) {
   const TopologyView view = View();
 
   if (options_.policy == Policy::kSingle) {
-    // Single-nod needs every demand to fit one server (r_i <= W); above
-    // that the state is infeasible — a state, not an error.
-    bool ok = true;
+    // The batch pass over the current view, under either engine. Single-nod
+    // needs every demand to fit one server (r_i <= W); above that the state
+    // is infeasible — a state, not an error.
+    ++stats_.full_recomputes;
+    stats_.nodes_recomputed += view.LiveCount();
+    feasible_ = true;
     for (const NodeId client : view.Clients()) {
       if (demand_[client] > capacity_) {
-        ok = false;
+        feasible_ = false;
         break;
       }
     }
-    if (single_engine_) {
-      if (full) single_engine_->SetCapacity(capacity_);
-      if (!ok) {
-        // Skip the compute but keep the invalidations: `touched` (plus the
-        // demand seeds SetDemand already marked) must recompute once a
-        // later batch makes the state feasible again.
-        single_engine_->MarkTouched(touched);
-        feasible_ = false;
-        solution_ = Solution{};
-        return;
-      }
-      if (full) {
-        single_engine_->ComputeAll();
-        ++stats_.full_recomputes;
-      } else {
-        single_engine_->RecomputeDirty(touched);
-      }
-      stats_.nodes_recomputed += single_engine_->LastPassNodes();
-      stats_.nodes_reused += view.LiveCount() - single_engine_->LastPassNodes();
-      feasible_ = true;
-      solution_ = single_engine_->Assemble();
-      return;
-    }
-    // Full-resolve oracle: the batch pass over the current view.
-    ++stats_.full_recomputes;
-    stats_.nodes_recomputed += view.LiveCount();
-    if (!ok) {
-      feasible_ = false;
-      solution_ = Solution{};
-      return;
-    }
-    feasible_ = true;
-    solution_ = single::SolveSingleNod(view, capacity_, demand_).solution;
+    solution_ = feasible_ ? single::SolveSingleNod(view, capacity_, demand_).solution
+                          : Solution{};
     solution_.Canonicalize();
     return;
   }

@@ -37,12 +37,11 @@
 //    is unchanged.
 //
 // Policies: Policy::kMultiple runs the incremental DP (or its from-scratch
-// oracle under Engine::kFullResolve). Policy::kSingle owns the analogous
-// SingleNodEngine: the bundle pass is just as local as the DP (a node's
-// forwarded bundles depend only on its subtree's demands and W), so the
-// same dirty-chain recompute applies — under Engine::kFullResolve it falls
-// back to the full batch pass over the view, which doubles as the oracle.
-// Both policies require a NoD instance (no distance constraint).
+// oracle under Engine::kFullResolve). Policy::kSingle runs the batch
+// single-nod pass (single/single_nod.hpp) over the current view after every
+// batch, under either engine: one O(n) pass, with no per-node state kept
+// between batches. Both policies require a NoD instance (no distance
+// constraint).
 //
 // Ownership/lifetime: the solver keeps a reference to the instance's Tree
 // (the overlay base); the Instance passed to the constructor must outlive
@@ -59,7 +58,6 @@
 #include "model/instance.hpp"
 #include "model/solution.hpp"
 #include "multiple/nod_dp_engine.hpp"
-#include "single/single_nod_engine.hpp"
 #include "tree/topology_view.hpp"
 #include "tree/tree_overlay.hpp"
 
@@ -180,11 +178,9 @@ class IncrementalSolver {
   std::vector<Requests> demand_;  // source of truth, mirrored into the engine
   Requests total_demand_ = 0;
   /// Long-lived DP tables; engaged only for (kMultiple, kIncremental) — the
-  /// full-resolve oracles never warm any state, so they skip the engines'
-  /// O(n) columns entirely.
+  /// full-resolve oracle and the Single pass keep no state between batches,
+  /// so they skip the engine's O(n) columns entirely.
   std::optional<multiple::NodDpEngine> engine_;
-  /// Long-lived bundle caches; engaged only for (kSingle, kIncremental).
-  std::optional<single::SingleNodEngine> single_engine_;
   Solution solution_;
   bool feasible_ = false;
   IncrementalStats stats_;

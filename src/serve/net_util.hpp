@@ -2,7 +2,8 @@
 // the query front-end (tcp_server.cpp) and the replication link
 // (repl_link.cpp). Both speak the same outer framing — the 4-byte
 // little-endian length prefix of support/wire.hpp, then the payload — over
-// loopback TCP with SO_RCVTIMEO/SO_SNDTIMEO bounding every operation.
+// loopback TCP with SO_RCVTIMEO/SO_SNDTIMEO bounding every operation — and
+// both servers run on the one ConnectionCore at the bottom of this file.
 //
 // This is an implementation header (included from .cpp files only): it
 // pulls in <sys/socket.h> and friends, which the public headers keep out
@@ -17,10 +18,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "support/common.hpp"
 #include "support/wire.hpp"
@@ -100,8 +109,7 @@ int ConnectLoopback(std::uint16_t port, int connect_timeout_ms,
                     int io_timeout_ms, FailFn&& on_fail) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   RPT_CHECK(fd >= 0);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -133,35 +141,6 @@ int ConnectLoopback(std::uint16_t port, int connect_timeout_ms,
   ::fcntl(fd, F_SETFL, flags);
   SetIoTimeouts(fd, io_timeout_ms);
   return fd;
-}
-
-/// Binds and listens on 127.0.0.1:`port` (0 = pick a free port). Returns
-/// {fd, bound port}; throws InternalError if the socket layer refuses.
-struct ListenSocket {
-  int fd = -1;
-  std::uint16_t port = 0;
-};
-
-inline ListenSocket ListenLoopback(std::uint16_t port, int backlog = 64) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  RPT_CHECK(fd >= 0);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, backlog) != 0) {
-    const int err = errno;
-    CloseQuiet(fd);
-    throw InternalError(std::string("serve: bind/listen failed: ") +
-                        std::strerror(err));
-  }
-  socklen_t addr_len = sizeof(addr);
-  RPT_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0);
-  return ListenSocket{fd, ntohs(addr.sin_port)};
 }
 
 /// Sends one length-prefixed frame. kOk only when prefix and payload both
@@ -225,5 +204,134 @@ inline IoStatus RecvFrame(int fd, std::string& payload, std::uint32_t max_bytes,
       fd, reinterpret_cast<std::uint8_t*>(payload.data()), len, max_stall_ticks);
   return ps == IoStatus::kOk ? IoStatus::kOk : IoStatus::kClosed;
 }
+
+/// The listen/accept/handler/stop core of every socket server. It owns the
+/// loopback listen socket, the accept thread and the live connections (fd
+/// plus handler thread). Each accepted fd gets TCP_NODELAY (replies must
+/// not wait out Nagle behind a delayed ACK) and the io timeouts, then
+/// `admit(fd)` on the accept thread (false refuses it), then its own thread
+/// running `serve(fd)`. The core owns the fd: when `serve` returns, the
+/// connection leaves the live set under the mutex BEFORE its fd closes, so
+/// Stop() only shuts down fds that are still this server's (a closed fd's
+/// number may already belong to another socket in the process). A finished
+/// handler thread is joined by the next one to finish, or by Stop(), so at
+/// most one finished thread is held however many connections come and go.
+class ConnectionCore {
+ public:
+  ConnectionCore() = default;
+  ConnectionCore(const ConnectionCore&) = delete;
+  ConnectionCore& operator=(const ConnectionCore&) = delete;
+  ~ConnectionCore() { Stop(); }
+
+  [[nodiscard]] bool Running() const noexcept {
+    return running_.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] std::uint16_t Port() const noexcept { return port_; }
+
+  /// Binds 127.0.0.1:`port` (0 = a free port) and starts accepting. Throws
+  /// InternalError, with nothing started, if the socket layer refuses.
+  void Start(std::uint16_t port, int io_timeout_ms, std::function<void(int)> serve,
+             std::function<bool(int)> admit = {}) {
+    RPT_CHECK(!Running());
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    RPT_CHECK(listen_fd_ >= 0);
+    const int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    socklen_t addr_len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 64) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
+      const int err = errno;
+      CloseQuiet(listen_fd_);
+      throw InternalError(std::string("serve: bind/listen failed: ") + std::strerror(err));
+    }
+    port_ = ntohs(addr.sin_port);
+    io_timeout_ms_ = io_timeout_ms;
+    serve_ = std::move(serve);
+    admit_ = std::move(admit);
+    running_.store(true, std::memory_order_release);
+    accept_thread_ = std::thread([this] { AcceptLoop(); });
+  }
+
+  /// Shuts down the listener and every live connection, then joins every
+  /// thread. Idempotent.
+  void Stop() {
+    if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    accept_thread_.join();  // from here on no connection joins the live set
+    std::thread last;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      for (const Conn& conn : live_) ::shutdown(conn.fd, SHUT_RDWR);
+      done_.wait(lock, [this] { return live_.empty(); });
+      last = std::move(finished_);
+    }
+    if (last.joinable()) last.join();  // it joined its predecessor
+    CloseQuiet(listen_fd_);
+  }
+
+  /// Handler threads held: the live connections plus at most one finished
+  /// thread not yet joined.
+  [[nodiscard]] std::size_t Handlers() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return live_.size() + (finished_.joinable() ? 1 : 0);
+  }
+
+ private:
+  struct Conn {
+    int fd;
+    std::thread thread;
+  };
+
+  void AcceptLoop() {
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR) continue;
+        return;  // listener shut down (Stop) or fatal — either way, done
+      }
+      SetNoDelay(fd);
+      SetIoTimeouts(fd, io_timeout_ms_);
+      if (admit_ && !admit_(fd)) {
+        CloseQuiet(fd);
+        continue;
+      }
+      // Spawned under the mutex, so the entry exists before Run() looks.
+      const std::lock_guard<std::mutex> lock(mu_);
+      live_.push_back(Conn{fd, std::thread([this, fd] { Run(fd); })});
+    }
+  }
+
+  void Run(int fd) {
+    serve_(fd);
+    std::thread prev;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = std::find_if(live_.begin(), live_.end(),
+                                   [fd](const Conn& conn) { return conn.fd == fd; });
+      prev = std::exchange(finished_, std::move(it->thread));
+      live_.erase(it);
+      done_.notify_all();
+    }
+    CloseQuiet(fd);
+    if (prev.joinable()) prev.join();
+  }
+
+  std::uint16_t port_ = 0;
+  int listen_fd_ = -1;
+  int io_timeout_ms_ = 0;
+  std::function<void(int)> serve_;
+  std::function<bool(int)> admit_;
+  std::atomic<bool> running_{false};
+  mutable std::mutex mu_;  // guards live_ / finished_
+  std::condition_variable done_;  // signalled when a connection leaves live_
+  std::vector<Conn> live_;
+  std::thread finished_;
+  std::thread accept_thread_;  // last: it uses every member above
+};
 
 }  // namespace rpt::serve::net

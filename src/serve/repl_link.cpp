@@ -150,74 +150,31 @@ FollowerCore::Outcome FollowerCore::OnRecord(std::uint64_t sender_epoch,
 // ReplPrimary
 
 struct ReplPrimary::FollowerConn {
-  explicit FollowerConn(int fd_in) : fd(fd_in), sender(fd_in) {}
-  int fd;
+  explicit FollowerConn(int fd_in) : sender(fd_in) {}
   FaultySender sender;
-  std::uint64_t acked = 0;   // guarded by ReplPrimary::mu_
-  bool subscribed = false;   // HELLO seen — guarded by mu_
-  bool gone = false;         // handler exited — guarded by mu_
+  std::uint64_t acked = 0;  // guarded by ReplPrimary::mu_
 };
 
 ReplPrimary::ReplPrimary(ServeHarness& harness, ReplPrimaryOptions options)
-    : harness_(harness), options_(options) {}
+    : harness_(harness), options_(options),
+      core_(std::make_unique<net::ConnectionCore>()) {}
 
 ReplPrimary::~ReplPrimary() { Stop(); }
 
 void ReplPrimary::Start(std::uint16_t port) {
-  RPT_REQUIRE(!running_.load(std::memory_order_acquire),
-              "ReplPrimary: already started");
-  const net::ListenSocket listener = net::ListenLoopback(port);
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
+  RPT_REQUIRE(!core_->Running(), "ReplPrimary: already started");
   {
     const std::lock_guard<std::mutex> lock(mu_);
     base_seq_ = harness_.LastDurableSeq();
   }
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&ReplPrimary::AcceptLoop, this);
+  core_->Start(port, options_.io_timeout_ms, [this](int fd) { ServeFollower(fd); });
 }
 
-void ReplPrimary::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& conn : conns_) {
-      if (!conn->gone) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  net::CloseQuiet(listen_fd_);
-  listen_fd_ = -1;
-}
+void ReplPrimary::Stop() { core_->Stop(); }
 
-void ReplPrimary::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    net::SetNoDelay(fd);  // RECORDs must not wait out Nagle behind an ack
-    net::SetIoTimeouts(fd, options_.io_timeout_ms);
-    auto conn = std::make_shared<FollowerConn>(fd);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load(std::memory_order_acquire)) {
-      net::CloseQuiet(fd);
-      break;
-    }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back(&ReplPrimary::ServeFollower, this, conn);
-  }
-}
+std::uint16_t ReplPrimary::Port() const noexcept { return core_->Port(); }
+
+std::size_t ReplPrimary::HandlerThreads() const { return core_->Handlers(); }
 
 void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq) {
   // Caller holds mu_. Seq-tagged scan (not an index) so a retention hole —
@@ -229,12 +186,15 @@ void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq) 
   }
 }
 
-void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
+void ReplPrimary::ServeFollower(int fd) {
+  // Registered in conns_ on its first accepted HELLO, and erased under mu_
+  // on exit — before the core closes the fd, so no sender (every one holds
+  // mu_) ever writes to a closed or reused fd.
+  const auto conn = std::make_shared<FollowerConn>(fd);
   std::string payload;
   bool refuse = false;
-  while (!refuse && running_.load(std::memory_order_acquire)) {
-    const net::IoStatus st =
-        net::RecvFrame(conn->fd, payload, kMaxReplFrameBytes);
+  while (!refuse) {  // Stop() shuts the fd down, which ends the next read
+    const net::IoStatus st = net::RecvFrame(fd, payload, kMaxReplFrameBytes);
     if (st == net::IoStatus::kTimeout) continue;  // idle follower is fine
     if (st == net::IoStatus::kClosed) break;
     const std::optional<ReplFrame> frame = DecodeReplFrame(payload);
@@ -250,7 +210,9 @@ void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
           refuse = true;
           break;
         }
-        conn->subscribed = true;
+        if (std::find(conns_.begin(), conns_.end(), conn) == conns_.end()) {
+          conns_.push_back(conn);
+        }
         conn->acked = std::max(conn->acked, frame->seq);
         ShipRetainedFrom(*conn, frame->seq);
         cv_.notify_all();
@@ -263,13 +225,8 @@ void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
         // acked; monotone (a follower that dies does not roll it back —
         // its acked writes are still on its disk).
         std::uint64_t floor = UINT64_MAX;
-        bool any = false;
-        for (const auto& c : conns_) {
-          if (c->gone || !c->subscribed) continue;
-          any = true;
-          floor = std::min(floor, c->acked);
-        }
-        if (any && floor > watermark_) watermark_ = floor;
+        for (const auto& c : conns_) floor = std::min(floor, c->acked);
+        if (!conns_.empty() && floor > watermark_) watermark_ = floor;
         cv_.notify_all();
         break;
       }
@@ -287,9 +244,8 @@ void ReplPrimary::ServeFollower(std::shared_ptr<FollowerConn> conn) {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    conn->gone = true;
+    std::erase(conns_, conn);
   }
-  net::CloseQuiet(conn->fd);
   cv_.notify_all();
 }
 
@@ -297,10 +253,7 @@ void ReplPrimary::BroadcastRecord(const std::string& frame_payload,
                                   std::uint64_t seq) {
   const std::lock_guard<std::mutex> lock(mu_);
   retained_.push_back(Retained{seq, frame_payload});
-  for (const auto& conn : conns_) {
-    if (conn->gone || !conn->subscribed) continue;
-    conn->sender.Send(frame_payload);
-  }
+  for (const auto& conn : conns_) conn->sender.Send(frame_payload);
 }
 
 bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
@@ -336,11 +289,8 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     const auto caught_up = [&] {
-      for (const auto& c : conns_) {
-        if (c->gone || !c->subscribed) continue;
-        if (c->acked < seq) return false;
-      }
-      return true;
+      return std::all_of(conns_.begin(), conns_.end(),
+                         [seq](const auto& c) { return c->acked >= seq; });
     };
     if (options_.ack_wait_ms > 0) {
       all_acked = cv_.wait_for(
@@ -360,10 +310,7 @@ void ReplPrimary::Heartbeat() {
   const std::lock_guard<std::mutex> lock(mu_);
   frame.seq = watermark_;
   const std::string payload = EncodeReplFrame(frame);
-  for (const auto& conn : conns_) {
-    if (conn->gone || !conn->subscribed) continue;
-    conn->sender.Send(payload);
-  }
+  for (const auto& conn : conns_) conn->sender.Send(payload);
 }
 
 std::uint64_t ReplPrimary::Watermark() const {
@@ -373,21 +320,13 @@ std::uint64_t ReplPrimary::Watermark() const {
 
 int ReplPrimary::Followers() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  int n = 0;
-  for (const auto& conn : conns_) {
-    if (!conn->gone && conn->subscribed) ++n;
-  }
-  return n;
+  return static_cast<int>(conns_.size());
 }
 
 bool ReplPrimary::WaitForFollowers(int count, int timeout_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-    int n = 0;
-    for (const auto& conn : conns_) {
-      if (!conn->gone && conn->subscribed) ++n;
-    }
-    return n >= count;
+    return static_cast<int>(conns_.size()) >= count;
   });
 }
 

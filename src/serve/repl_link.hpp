@@ -79,9 +79,14 @@
 //
 // Threading: ReplPrimary::Apply is update-thread-only (same contract as
 // ServeHarness::ApplyAndPublish); acks/fences arrive on per-connection
-// reader threads. The follower applies records on its single link thread,
-// which is also the only thread that promotes — queries stay wait-free on
-// both sides.
+// reader threads on the net::ConnectionCore (net_util.hpp) TcpServer also
+// runs on, which owns the listener, the accept thread and the live
+// connections, reaps finished readers, and whose Stop() shuts everything
+// down and joins. A follower is registered on its first HELLO and erased
+// under mu_ before its fd closes, so dead followers do not accumulate and
+// no ship hits a closed fd. The follower applies records on its single
+// link thread, which is also the only thread that promotes — queries stay
+// wait-free on both sides.
 #pragma once
 
 #include <atomic>
@@ -100,6 +105,10 @@
 #include "serve/serve_harness.hpp"
 
 namespace rpt::serve {
+
+namespace net {
+class ConnectionCore;
+}  // namespace net
 
 /// Replication frame kinds (payload byte 0).
 enum class ReplFrameKind : std::uint8_t {
@@ -214,7 +223,11 @@ class ReplPrimary {
   /// subscriptions.
   void Start(std::uint16_t port = 0);
   void Stop();
-  [[nodiscard]] std::uint16_t Port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t Port() const noexcept;
+
+  /// Reader threads the connection core holds: the open follower
+  /// connections plus at most one finished thread not yet joined.
+  [[nodiscard]] std::size_t HandlerThreads() const;
 
   /// Applies one batch locally (through the harness — logged, applied,
   /// published, checkpointed) and ships the committed record to every
@@ -253,17 +266,12 @@ class ReplPrimary {
 
  private:
   struct FollowerConn;
-  void AcceptLoop();
-  void ServeFollower(std::shared_ptr<FollowerConn> conn);
+  void ServeFollower(int fd);
   void ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq);
   void BroadcastRecord(const std::string& frame_payload, std::uint64_t seq);
 
   ServeHarness& harness_;
   ReplPrimaryOptions options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
 
   /// One retained RECORD payload (already repl-frame-encoded). Retention
   /// is append-only and seq-tagged: catch-up scans for seq > HELLO's
@@ -277,14 +285,14 @@ class ReplPrimary {
 
   mutable std::mutex mu_;  // guards conns_, retained_, watermark bookkeeping
   mutable std::condition_variable cv_;  // ack + subscription progress
-  std::vector<std::shared_ptr<FollowerConn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::vector<std::shared_ptr<FollowerConn>> conns_;  // subscribed, live
   std::vector<Retained> retained_;
   std::uint64_t base_seq_ = 0;
   std::uint64_t watermark_ = 0;
 
   std::atomic<bool> fenced_{false};
   std::atomic<std::uint64_t> fenced_by_{0};
+  std::unique_ptr<net::ConnectionCore> core_;  // last: its threads use the above
 };
 
 struct ReplFollowerOptions {

@@ -16,7 +16,6 @@ namespace rpt::serve {
 using net::CloseQuiet;
 using net::IoStatus;
 using net::ReadFull;
-using net::SetIoTimeouts;
 using net::WriteFull;
 
 std::uint64_t BackoffDelayMs(int attempt, int base_ms, int cap_ms,
@@ -44,84 +43,49 @@ std::uint64_t BackoffDelayMs(int attempt, int base_ms, int cap_ms,
 }
 
 TcpServer::TcpServer(const ServeHarness& harness, TcpServerOptions options)
-    : harness_(harness), options_(options) {}
+    : harness_(harness), options_(options),
+      core_(std::make_unique<net::ConnectionCore>()) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
 void TcpServer::Start(std::uint16_t port) {
-  RPT_REQUIRE(!running_.load(std::memory_order_acquire), "TcpServer: already started");
-
-  net::ListenSocket listener;
+  RPT_REQUIRE(!core_->Running(), "TcpServer: already started");
   try {
-    listener = net::ListenLoopback(port);
+    core_->Start(
+        port, options_.io_timeout_ms, [this](int fd) { ServeConnection(fd); },
+        [this](int fd) { return Admit(fd); });
   } catch (const InternalError& error) {
     throw InternalError(std::string("TcpServer: ") + error.what());
   }
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
-
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread(&TcpServer::AcceptLoop, this);
 }
 
-void TcpServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  // Unblock accept(), then every blocked per-connection read.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  CloseQuiet(listen_fd_);
-  listen_fd_ = -1;
-}
+void TcpServer::Stop() { core_->Stop(); }
 
-void TcpServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener shut down (Stop) or fatal — either way, done
-    }
-    net::SetNoDelay(fd);  // responses must not queue behind delayed ACKs
-    SetIoTimeouts(fd, options_.io_timeout_ms);
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    // Overload guard: at capacity, answer the busy byte and close instead
-    // of spawning a thread the box has no headroom for. The client sees a
-    // well-formed one-byte frame (ServerBusy) and can rotate endpoints.
-    if (options_.max_connections > 0 &&
-        active_.load(std::memory_order_acquire) >= options_.max_connections) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      const std::string busy(1, static_cast<char>(kBusyStatusByte));
-      net::SendFrame(fd, busy);  // best effort — the peer may already be gone
-      CloseQuiet(fd);
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (!running_.load(std::memory_order_acquire)) {
-      CloseQuiet(fd);
-      break;
-    }
-    conn_fds_.push_back(fd);
-    active_.fetch_add(1, std::memory_order_acq_rel);
-    conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
+std::uint16_t TcpServer::Port() const noexcept { return core_->Port(); }
+
+std::size_t TcpServer::HandlerThreads() const { return core_->Handlers(); }
+
+bool TcpServer::Admit(int fd) {
+  connections_.fetch_add(1, std::memory_order_relaxed);
+  // Overload guard: at capacity, answer the busy byte and close instead
+  // of spawning a thread the box has no headroom for. The client sees a
+  // well-formed one-byte frame (ServerBusy) and can rotate endpoints.
+  if (options_.max_connections > 0 &&
+      active_.load(std::memory_order_acquire) >= options_.max_connections) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    const std::string busy(1, static_cast<char>(kBusyStatusByte));
+    net::SendFrame(fd, busy);  // best effort — the peer may already be gone
+    return false;
   }
+  active_.fetch_add(1, std::memory_order_acq_rel);
+  return true;
 }
 
 void TcpServer::ServeConnection(int fd) {
   std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> out;
   std::uint8_t prefix[support::wire::kPrefixBytes];
-  while (running_.load(std::memory_order_acquire)) {
+  for (;;) {  // Stop() shuts the fd down, which ends the next read
     fail::Hit("tcp.serve.stall");  // kDelay here = a slow server, per request
     const IoStatus ps = ReadFull(fd, prefix, sizeof(prefix));
     if (ps != IoStatus::kOk) {
@@ -164,8 +128,7 @@ void TcpServer::ServeConnection(int fd) {
       break;
     }
   }
-  CloseQuiet(fd);
-  active_.fetch_sub(1, std::memory_order_acq_rel);
+  active_.fetch_sub(1, std::memory_order_acq_rel);  // the core closes the fd
 }
 
 TcpClient::TcpClient(std::uint16_t port, TcpClientOptions options)

@@ -28,12 +28,16 @@
 // the top of the server's per-request loop so tests can simulate a slow
 // server without touching real traffic.
 //
-// Threading: Start() spawns one accept thread; each accepted connection gets
-// its own handler thread (the expected fan-in is a handful of benchmark or
-// test clients, not a C10K front; the harness underneath scales to any
-// number of query threads). Stop() shuts down the listener and every open
-// connection, then joins all threads — safe to call twice, called by the
-// destructor.
+// Threading: the accept loop, the per-connection handler threads and Stop()
+// are the shared net::ConnectionCore (net_util.hpp), the same core
+// ReplPrimary runs on. Each accepted connection gets its own handler thread
+// (the expected fan-in is a handful of benchmark or test clients, not a
+// C10K front; the harness underneath scales to any number of query
+// threads); the busy-byte guard and the counters run in TcpServer's admit
+// hook and handler. A finished handler leaves the core's live set before
+// its fd closes and its thread is reaped, so reconnects do not accumulate
+// state. Stop() shuts down the listener and every live connection, then
+// joins all threads — safe to call twice, called by the destructor.
 //
 // Binding: loopback (127.0.0.1) only, port 0 picks a free port — Port()
 // reports the bound one. This is deliberately a harness front-end, not an
@@ -43,15 +47,17 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "serve/query.hpp"
 #include "serve/serve_harness.hpp"
 
 namespace rpt::serve {
+
+namespace net {
+class ConnectionCore;
+}  // namespace net
 
 /// Frames longer than this are treated as a protocol desync and close the
 /// connection (a legal request payload is kRequestWireSize bytes).
@@ -138,7 +144,7 @@ class TcpServer {
   void Stop();
 
   /// The bound port (valid after Start()).
-  [[nodiscard]] std::uint16_t Port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t Port() const noexcept;
 
   /// Connections accepted over the server's lifetime.
   [[nodiscard]] std::uint64_t ConnectionsAccepted() const noexcept {
@@ -167,24 +173,22 @@ class TcpServer {
     return active_.load(std::memory_order_relaxed);
   }
 
+  /// Handler threads the connection core holds: the open connections plus
+  /// at most one finished thread not yet joined.
+  [[nodiscard]] std::size_t HandlerThreads() const;
+
  private:
-  void AcceptLoop();
+  bool Admit(int fd);
   void ServeConnection(int fd);
 
   const ServeHarness& harness_;
   TcpServerOptions options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mutex_;  // guards conn_fds_ / conn_threads_
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<int> active_{0};
+  std::unique_ptr<net::ConnectionCore> core_;  // last: its threads use the above
 };
 
 /// Minimal blocking client for the rpt-serve wire protocol: one connection,

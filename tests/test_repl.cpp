@@ -651,6 +651,38 @@ TEST(TcpServerBusy, MaxConnectionsAnswersBusyByteAndCounts) {
   server.Stop();
 }
 
+TEST(ConnectionCore, ReplPrimaryReapsFollowersAcrossReconnects) {
+  const Instance instance = MakeInstance(39);
+  TempDir primary_dir;
+  TempDir follower_dir;
+  ServeHarness primary_harness(instance, {}, Durable(primary_dir.path));
+  ServeHarness follower_harness(instance, {}, Durable(follower_dir.path));
+  ReplPrimaryOptions popts;
+  popts.io_timeout_ms = 200;
+  ReplPrimary primary(primary_harness, popts);
+  primary.Start();
+  ReplFollowerOptions fopts;
+  fopts.io_timeout_ms = 20;
+  const NodeId client = instance.GetTree().Clients()[0];
+  for (std::uint64_t cycle = 1; cycle <= 16; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    ReplFollower follower(follower_harness, primary.Port(), fopts);
+    follower.Start();
+    ASSERT_TRUE(primary.WaitForFollowers(1, 5000));
+    EXPECT_TRUE(primary.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(client, 1)}));
+    ASSERT_TRUE(follower.WaitForSeq(cycle, 5000));
+    follower.Stop();
+    ASSERT_TRUE(PollFor(5000, [&] { return primary.Followers() == 0; }));
+  }
+  EXPECT_EQ(HashOf(follower_harness), HashOf(primary_harness));
+  // Sixteen followers came and went: the core holds no reader but at most
+  // the one finished thread it has not joined yet.
+  EXPECT_TRUE(PollFor(5000, [&] { return primary.HandlerThreads() <= 1; }))
+      << primary.HandlerThreads() << " reader threads held";
+  primary.Stop();
+  EXPECT_EQ(primary.HandlerThreads(), 0u);
+}
+
 TEST(Backoff, CappedExponentialWithDeterministicJitter) {
   // Deterministic: same (attempt, base, cap, seed) -> same delay.
   for (int attempt = 0; attempt < 12; ++attempt) {

@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -452,6 +453,68 @@ TEST(TcpServer, ExhaustedRetryBudgetSurfacesTheTimeout) {
   EXPECT_THROW((void)client.Query(request), TimeoutError);
   EXPECT_EQ(client.Retries(), 1u);
   ::close(listen_fd);
+}
+
+/// Polls `pred` every millisecond for up to ten seconds.
+template <typename Pred>
+bool PollFor(Pred&& pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(TcpServer, StopLeavesReusedFdsAlone) {
+  // A connection that closed on server A frees its fd number, which the
+  // next sockets in the process (here, server B's connections) reuse.
+  // A.Stop() must shut down only A's live connections, never that number.
+  const Instance instance = MakeSolvedInstance(13);
+  ServeHarness harness(instance);
+  TcpServer a(harness);
+  TcpServer b(harness);
+  a.Start(/*port=*/0);
+  b.Start(/*port=*/0);
+  const QueryRequest request{QueryKind::kResidual, instance.GetTree().Root(), 0};
+  {
+    TcpClient client(a.Port());
+    EXPECT_TRUE(client.Query(request).ok);
+  }
+  ASSERT_TRUE(PollFor([&] { return a.ActiveConnections() == 0; }));
+
+  // Four connections (eight fds, client and server side) surely take the
+  // freed number, whatever else the process opens meanwhile.
+  TcpClientOptions options;
+  options.max_retries = 0;  // a broken connection must surface, not heal
+  std::vector<std::unique_ptr<TcpClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<TcpClient>(b.Port(), options));
+    EXPECT_TRUE(clients.back()->Query(request).ok);
+  }
+  a.Stop();
+  for (const auto& client : clients) EXPECT_TRUE(client->Query(request).ok);
+  b.Stop();
+}
+
+TEST(ConnectionCore, TcpServerReapsHandlersAcrossReconnects) {
+  const Instance instance = MakeSolvedInstance(14);
+  ServeHarness harness(instance);
+  TcpServer server(harness);
+  server.Start(/*port=*/0);
+  const QueryRequest request{QueryKind::kResidual, instance.GetTree().Root(), 0};
+  for (int cycle = 0; cycle < 256; ++cycle) {
+    TcpClient client(server.Port());
+    ASSERT_TRUE(client.Query(request).ok) << "cycle " << cycle;
+  }
+  // Every connection closed: the core holds no handler but at most the
+  // one finished thread it has not joined yet.
+  EXPECT_TRUE(PollFor([&] {
+    return server.ActiveConnections() == 0 && server.HandlerThreads() <= 1;
+  })) << server.HandlerThreads() << " handler threads held";
+  EXPECT_EQ(server.ConnectionsAccepted(), 256u);
+  server.Stop();
+  EXPECT_EQ(server.HandlerThreads(), 0u);
 }
 
 TEST(TcpServer, StaleBitTravelsTheWire) {
