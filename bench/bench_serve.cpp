@@ -328,7 +328,8 @@ int main(int argc, char** argv) {
 
     // serve-publish-repl: the same churn through a ReplPrimary with one
     // live durable follower acking every record (synchronous replication —
-    // each Apply waits for the follower's durable ack). Reading the three
+    // each Apply waits for the follower's ack, sent once the follower's own
+    // apply matched the primary's VERIFY). Reading the three
     // publish rows down a column decomposes cost into solve+swap, +logging,
     // +shipping; the det columns again must match serve-publish exactly.
     auto repl_cache = std::make_shared<std::pair<std::uint64_t, std::uint64_t>>();

@@ -30,6 +30,30 @@ constexpr std::size_t kWalMagicBytes = sizeof(kWalMagic);
 constexpr std::size_t kEventBytes = 1 + 4 + 8 + 8 + 4 + 4;
 constexpr std::size_t kSpecNodeBytes = 1 + 4 + 8 + 8;
 
+// The one batch encoder: Append writes these bytes, and EncodeBatchPayload
+// exposes them to the corpus tests.
+std::string EncodeBatch(std::uint64_t seq, std::span<const UpdateEvent> events) {
+  std::string payload;
+  wire::ByteWriter out(payload);
+  out.U64(seq).U32(static_cast<std::uint32_t>(events.size()));
+  for (const UpdateEvent& ev : events) {
+    out.U8(static_cast<std::uint8_t>(ev.kind))
+        .U32(ev.client)
+        .U64(static_cast<std::uint64_t>(ev.delta))
+        .U64(ev.value)
+        .U32(ev.parent)
+        .U32(static_cast<std::uint32_t>(ev.spec.nodes.size()));
+    for (const SubtreeSpec::Node& node : ev.spec.nodes) {
+      out.U8(static_cast<std::uint8_t>(node.kind))
+          .U32(node.parent)
+          .U64(node.delta)
+          .U64(node.requests);
+    }
+  }
+  RPT_CHECK(payload.size() <= kMaxWalRecordBytes);
+  return payload;
+}
+
 // Parse failures throw InternalError: the CRC already vouched for these
 // bytes, so a malformed payload is a writer bug or a version skew, never a
 // torn tail.
@@ -182,25 +206,7 @@ EventWal::~EventWal() {
 
 std::string EventWal::EncodeBatchPayload(
     std::uint64_t seq, const std::vector<UpdateEvent>& events) {
-  std::string payload;
-  wire::ByteWriter out(payload);
-  out.U64(seq).U32(static_cast<std::uint32_t>(events.size()));
-  for (const UpdateEvent& ev : events) {
-    out.U8(static_cast<std::uint8_t>(ev.kind))
-        .U32(ev.client)
-        .U64(static_cast<std::uint64_t>(ev.delta))
-        .U64(ev.value)
-        .U32(ev.parent)
-        .U32(static_cast<std::uint32_t>(ev.spec.nodes.size()));
-    for (const SubtreeSpec::Node& node : ev.spec.nodes) {
-      out.U8(static_cast<std::uint8_t>(node.kind))
-          .U32(node.parent)
-          .U64(node.delta)
-          .U64(node.requests);
-    }
-  }
-  RPT_CHECK(payload.size() <= kMaxWalRecordBytes);
-  return payload;
+  return EncodeBatch(seq, events);
 }
 
 std::string EventWal::EncodeEpochPayload(std::uint64_t seq, std::uint64_t epoch) {
@@ -311,15 +317,15 @@ EventWal EventWal::OpenForAppend(const std::string& path, bool sync) {
   return wal;
 }
 
-void EventWal::Append(std::uint64_t seq, const std::vector<UpdateEvent>& events) {
-  AppendPayload(seq, EncodeBatchPayload(seq, events));
+std::string EventWal::Append(std::uint64_t seq, std::span<const UpdateEvent> events) {
+  return AppendPayload(seq, EncodeBatch(seq, events));
 }
 
 void EventWal::AppendEpoch(std::uint64_t seq, std::uint64_t epoch) {
-  AppendPayload(seq, EncodeEpochPayload(seq, epoch));
+  (void)AppendPayload(seq, EncodeEpochPayload(seq, epoch));
 }
 
-void EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
+std::string EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
   RPT_CHECK(fd_ >= 0);  // Append on a moved-from handle is a caller bug
   if (seq <= last_seq_) {
     throw InvalidArgument("event_wal: seq " + std::to_string(seq) +
@@ -328,7 +334,7 @@ void EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
 
   fail::Hit("wal.append");  // kThrow / kCrash fire here, before any bytes move
 
-  const std::string record = FrameRecord(payload);
+  std::string record = FrameRecord(payload);
 
   // Repairs a failed append: the bytes past the committed prefix never
   // happened. Used for ERRORS the process survives (the caller gets
@@ -361,6 +367,7 @@ void EventWal::AppendPayload(std::uint64_t seq, const std::string& payload) {
 
   committed_bytes_ += record.size();
   last_seq_ = seq;
+  return record;
 }
 
 void EventWal::TrimThrough(const std::string& path, std::uint64_t through_seq) {

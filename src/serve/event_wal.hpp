@@ -86,6 +86,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,9 +147,10 @@ class EventWal {
   /// InternalError is thrown (the append simply never happened); an
   /// injected crash (fail::InjectedFault / process exit) leaves the torn
   /// tail in place for recovery to find. `seq` must exceed the last
-  /// committed seq.
-  void Append(std::uint64_t seq,
-              const std::vector<incremental::UpdateEvent>& events);
+  /// committed seq. Returns the framed record exactly as written — the
+  /// bytes the replication link ships.
+  std::string Append(std::uint64_t seq,
+                     std::span<const incremental::UpdateEvent> events);
 
   /// Appends one epoch record (the durable fencing token of a promoted
   /// follower). Same failure/repair semantics as Append.
@@ -192,7 +194,7 @@ class EventWal {
  private:
   EventWal() = default;
 
-  void AppendPayload(std::uint64_t seq, const std::string& payload);
+  std::string AppendPayload(std::uint64_t seq, const std::string& payload);
 
   int fd_ = -1;
   std::string path_;

@@ -22,9 +22,12 @@ std::string EncodeReplFrame(const ReplFrame& frame) {
       w.U64(frame.seq);
       break;
     case ReplFrameKind::kRecord:
-      w.U64(frame.hash).Bytes(frame.record);
+      w.Bytes(frame.record);
       break;
     case ReplFrameKind::kFence:
+      break;
+    case ReplFrameKind::kVerify:
+      w.U64(frame.seq).U64(frame.hash).U8(frame.rejected ? 1 : 0);
       break;
   }
   return out;
@@ -44,12 +47,20 @@ std::optional<ReplFrame> DecodeReplFrame(const std::string& payload) {
         break;
       case static_cast<std::uint8_t>(ReplFrameKind::kRecord):
         frame.epoch = in.U64();
-        frame.hash = in.U64();
         frame.record = in.Rest();
         break;
       case static_cast<std::uint8_t>(ReplFrameKind::kFence):
         frame.epoch = in.U64();
         break;
+      case static_cast<std::uint8_t>(ReplFrameKind::kVerify): {
+        frame.epoch = in.U64();
+        frame.seq = in.U64();
+        frame.hash = in.U64();
+        const std::uint8_t rejected = in.U8();
+        if (rejected > 1) return std::nullopt;
+        frame.rejected = rejected == 1;
+        break;
+      }
       default:
         return std::nullopt;
     }
@@ -86,64 +97,98 @@ bool FaultySender::Send(const std::string& payload) {
 }
 
 FollowerCore::Outcome FollowerCore::OnRecord(std::uint64_t sender_epoch,
-                                             std::uint64_t expected_hash,
                                              const std::string& record_bytes) {
   // Fencing first: a deposed primary's records must not even be decoded
   // into applies. HIGHER sender epochs pass — the sender is the newer
   // primary and our epoch catches up when its epoch record applies.
-  if (sender_epoch < harness_.Epoch()) {
-    fenced_.fetch_add(1, std::memory_order_relaxed);
-    return Outcome::kFenced;
-  }
+  if (sender_epoch < harness_.Epoch()) return Count(fenced_, Outcome::kFenced);
   // TryDecodeFramedRecord: nullopt = transport damage (resync — the retry
   // path); InternalError = valid CRC but unparseable payload (writer bug
   // or version skew — loud, propagates).
-  const std::optional<WalBatch> batch =
-      EventWal::TryDecodeFramedRecord(record_bytes);
-  if (!batch) {
-    resyncs_.fetch_add(1, std::memory_order_relaxed);
-    return Outcome::kResync;
+  std::optional<WalBatch> batch = EventWal::TryDecodeFramedRecord(record_bytes);
+  if (!batch) return Count(resyncs_, Outcome::kResync);
+  if (pending_) {
+    if (batch->seq != pending_->seq) {
+      // A RECORD past the staged one: its VERIFY was lost or overtaken.
+      // Staging a second batch would publish the first unverified.
+      return Count(resyncs_, Outcome::kResync);
+    }
+    if (record_bytes != pending_->record) {
+      throw InternalError("repl: two different records for staged seq " +
+                          std::to_string(batch->seq));
+    }
+    return Count(duplicates_, Outcome::kDuplicate);
   }
   const std::uint64_t last = harness_.LastDurableSeq();
   if (batch->seq <= last) {
-    // Duplicated or re-shipped record: already durable here, re-ack so the
+    // Duplicated or re-shipped record: already verified here, re-ack so the
     // primary's watermark can advance even when the original ack was lost.
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
-    return Outcome::kDuplicate;
+    return Count(duplicates_, Outcome::kDuplicate);
   }
   if (batch->seq != last + 1) {
     // Gap — a dropped or reordered frame. Applying out of order would
     // fabricate a state the primary never had; ask for a re-ship instead.
-    resyncs_.fetch_add(1, std::memory_order_relaxed);
-    return Outcome::kResync;
+    return Count(resyncs_, Outcome::kResync);
   }
 
+  Pending pending{batch->seq, record_bytes, std::nullopt, 0, false};
   if (batch->epoch_bump) {
     // The primary's durable fencing token: adopt it through OUR wal (same
     // seq slot — AdoptEpoch appends at last+1).
     harness_.AdoptEpoch(batch->epoch);
   } else {
-    try {
-      harness_.ApplyAndPublish(batch->events);
-    } catch (const InvalidArgument&) {
-      // The primary logged-then-rejected this batch; Apply is
-      // deterministic in (state, events), so we re-reject identically.
-      // The seq is consumed either way.
-    }
+    // The primary logged-then-rejected a batch the same way: Apply is
+    // deterministic in (state, events), so we re-reject identically, and
+    // the seq is consumed either way.
+    pending.staged = harness_.Stage(batch->events);
+    pending.rejected = pending.staged->rejection != nullptr;
   }
-  // Divergence check: after applying the same record the follower must be
+  // The hash VERIFY must match, computed while the primary is still
+  // applying; a rejected batch or an epoch record leaves the published
+  // snapshot as it is.
+  pending.hash = pending.staged && pending.staged->snapshot
+                     ? pending.staged->snapshot->CanonicalHash()
+                     : harness_.Pin()->CanonicalHash();
+  pending_ = std::move(pending);
+  return Count(staged_, Outcome::kStaged);
+}
+
+FollowerCore::Outcome FollowerCore::OnVerify(std::uint64_t sender_epoch, std::uint64_t seq,
+                                             std::uint64_t hash, bool rejected) {
+  if (sender_epoch < harness_.Epoch()) return Count(fenced_, Outcome::kFenced);
+  // Divergence check: after the same record the follower must be
   // byte-identical to what the primary published (CanonicalHash covers the
   // full placement table + version). A mismatch means replicas forked —
   // the one failure replication exists to rule out, so it is loud.
-  const std::uint64_t got = harness_.Pin()->CanonicalHash();
-  if (got != expected_hash) {
-    throw InternalError(
-        "repl: divergence at seq " + std::to_string(batch->seq) +
-        ": follower hash " + std::to_string(got) + " != primary hash " +
-        std::to_string(expected_hash));
+  const auto require_hash = [&](std::uint64_t got) {
+    if (got != hash) {
+      throw InternalError("repl: divergence at seq " + std::to_string(seq) +
+                          ": follower hash " + std::to_string(got) +
+                          " != primary hash " + std::to_string(hash));
+    }
+  };
+  const std::uint64_t verified = VerifiedSeq();
+  if (seq <= verified) {
+    // A duplicate, or the VERIFY a resync starts with: the published
+    // snapshot is the state at `verified`, so that one is checked again.
+    if (seq == verified) require_hash(harness_.Pin()->CanonicalHash());
+    return Count(duplicates_, Outcome::kDuplicate);
   }
-  applied_.fetch_add(1, std::memory_order_relaxed);
-  return Outcome::kApplied;
+  if (!pending_ || seq != pending_->seq) return Count(resyncs_, Outcome::kResync);
+  if (rejected != pending_->rejected) {
+    throw InternalError("repl: divergence at seq " + std::to_string(seq) + ": the " +
+                        (rejected ? "primary" : "follower") +
+                        " rejected the batch and the other applied it");
+  }
+  require_hash(pending_->hash);
+  CommitPending();
+  return Count(applied_, Outcome::kApplied);
+}
+
+void FollowerCore::CommitPending() {
+  if (!pending_) return;
+  std::optional<Pending> pending = std::exchange(pending_, std::nullopt);
+  if (pending->staged) harness_.Commit(std::move(*pending->staged));
 }
 
 // ---------------------------------------------------------------------------
@@ -176,13 +221,16 @@ std::uint16_t ReplPrimary::Port() const noexcept { return core_->Port(); }
 
 std::size_t ReplPrimary::HandlerThreads() const { return core_->Handlers(); }
 
-void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t after_seq) {
-  // Caller holds mu_. Seq-tagged scan (not an index) so a retention hole —
-  // a seq consumed during a primary durability error — cannot misalign the
-  // stream; the follower's contiguity check turns a hole into a resync
-  // loop, which is the documented degraded shape, never a wrong apply.
+void ReplPrimary::ShipRetainedFrom(FollowerConn& conn, std::uint64_t verified_seq) {
+  // Caller holds mu_. The VERIFY of the follower's own seq comes first, so
+  // a follower that recovered from its disk checks that state too. The
+  // scan is seq-tagged (not an index) so a retention hole — a seq consumed
+  // during a primary durability error — cannot misalign the stream; the
+  // follower's contiguity check turns a hole into a resync loop, which is
+  // the documented degraded shape, never a wrong apply.
   for (const Retained& r : retained_) {
-    if (r.seq > after_seq) conn.sender.Send(r.payload);
+    if (r.seq > verified_seq) conn.sender.Send(r.record);
+    if (r.seq >= verified_seq && !r.verify.empty()) conn.sender.Send(r.verify);
   }
 }
 
@@ -239,7 +287,7 @@ void ReplPrimary::ServeFollower(int fd) {
         cv_.notify_all();
         break;
       default:
-        break;  // followers do not send RECORD/HEARTBEAT; ignore
+        break;  // followers do not send RECORD/VERIFY/HEARTBEAT; ignore
     }
   }
   {
@@ -249,11 +297,17 @@ void ReplPrimary::ServeFollower(int fd) {
   cv_.notify_all();
 }
 
-void ReplPrimary::BroadcastRecord(const std::string& frame_payload,
-                                  std::uint64_t seq) {
+void ReplPrimary::Broadcast(std::uint64_t seq, std::string payload, bool verify) {
   const std::lock_guard<std::mutex> lock(mu_);
-  retained_.push_back(Retained{seq, frame_payload});
-  for (const auto& conn : conns_) conn->sender.Send(frame_payload);
+  if (verify) {
+    // Apply is update-thread-only, so the batch's RECORD is the newest.
+    RPT_CHECK(!retained_.empty() && retained_.back().seq == seq);
+    retained_.back().verify = std::move(payload);
+  } else {
+    retained_.push_back(Retained{seq, std::move(payload), {}});
+  }
+  const Retained& r = retained_.back();
+  for (const auto& conn : conns_) conn->sender.Send(verify ? r.verify : r.record);
 }
 
 bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
@@ -264,26 +318,31 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
         " (a follower promoted); refusing to apply — deposed primaries do "
         "not write");
   }
-  // Local commit first (log-then-apply inside the harness). A rejected
-  // batch still consumed a seq and must still ship — followers re-reject
-  // it deterministically; swallowing it here would desync every stream.
-  std::exception_ptr rejected;
-  try {
-    (void)harness_.ApplyAndPublish(events);
-  } catch (const InvalidArgument&) {
-    rejected = std::current_exception();
-  }
-  // (InternalError/InjectedFault propagate above WITHOUT shipping: a batch
-  // the local log never committed must never reach a follower.)
+  // The RECORD leaves as soon as the batch is WAL-durable — the exact bytes
+  // the WAL wrote — so the followers apply it while our solver does. A
+  // rejected batch still consumed a seq and still ships. (InternalError /
+  // InjectedFault from the append propagate before anything ships: a
+  // batch the local log never committed must never reach a follower.)
+  ServeHarness::StagedBatch staged =
+      harness_.Stage(events, [this](std::uint64_t seq, const std::string& record) {
+        ReplFrame frame;
+        frame.kind = ReplFrameKind::kRecord;
+        frame.epoch = harness_.Epoch();
+        frame.record = record;
+        Broadcast(seq, EncodeReplFrame(frame), /*verify=*/false);
+      });
+  fail::Hit("repl.pre_verify");  // crash window: RECORD shipped, VERIFY not
 
-  const std::uint64_t seq = harness_.LastDurableSeq();
-  ReplFrame frame;
-  frame.kind = ReplFrameKind::kRecord;
-  frame.epoch = harness_.Epoch();
-  frame.hash = harness_.Pin()->CanonicalHash();
-  frame.record = EventWal::FrameRecord(EventWal::EncodeBatchPayload(
-      seq, std::vector<incremental::UpdateEvent>(events.begin(), events.end())));
-  BroadcastRecord(EncodeReplFrame(frame), seq);
+  const std::uint64_t seq = staged.seq;
+  const std::exception_ptr rejection = staged.rejection;
+  harness_.Commit(std::move(staged));
+  ReplFrame verify;
+  verify.kind = ReplFrameKind::kVerify;
+  verify.epoch = harness_.Epoch();
+  verify.seq = seq;
+  verify.hash = harness_.Pin()->CanonicalHash();
+  verify.rejected = rejection != nullptr;
+  Broadcast(seq, EncodeReplFrame(verify), /*verify=*/true);
 
   bool all_acked;
   {
@@ -299,7 +358,7 @@ bool ReplPrimary::Apply(std::span<const incremental::UpdateEvent> events) {
       all_acked = caught_up();
     }
   }
-  if (rejected) std::rethrow_exception(rejected);
+  if (rejection) std::rethrow_exception(rejection);
   return all_acked;
 }
 
@@ -353,12 +412,21 @@ bool ReplFollower::TryConnect() {
   }
   fd_.store(fd, std::memory_order_release);
   sender_ = std::make_unique<FaultySender>(fd);
-  ReplFrame hello;
-  hello.kind = ReplFrameKind::kHello;
-  hello.epoch = harness_.Epoch();
-  hello.seq = harness_.LastDurableSeq();
-  sender_->Send(EncodeReplFrame(hello));
+  std::uint64_t verified;
+  {
+    const std::lock_guard<std::mutex> lock(promote_mu_);
+    verified = core_.VerifiedSeq();
+  }
+  Send(ReplFrameKind::kHello, verified);
   return true;
+}
+
+void ReplFollower::Send(ReplFrameKind kind, std::uint64_t seq) {
+  ReplFrame frame;
+  frame.kind = kind;
+  frame.epoch = harness_.Epoch();
+  frame.seq = seq;
+  sender_->Send(EncodeReplFrame(frame));
 }
 
 void ReplFollower::Start() {
@@ -383,6 +451,8 @@ void ReplFollower::Stop() {
   net::CloseQuiet(fd_.load(std::memory_order_acquire));
   fd_.store(-1, std::memory_order_release);
   sender_.reset();
+  const std::lock_guard<std::mutex> lock(promote_mu_);
+  core_.CommitPending();
 }
 
 void ReplFollower::MaybePromoteOnSilence() {
@@ -397,6 +467,9 @@ void ReplFollower::MaybePromoteOnSilence() {
 void ReplFollower::Promote() {
   const std::lock_guard<std::mutex> lock(promote_mu_);
   if (promoted_.load(std::memory_order_acquire)) return;
+  // A batch staged without its VERIFY is WAL-durable here, so it is a
+  // committed batch: publish it before the epoch record follows it.
+  core_.CommitPending();
   // Durable-before-visible: the epoch record hits OUR wal before the new
   // epoch can fence anyone — a promoted follower that crashes right here
   // recovers still promoted (or never promoted); never half.
@@ -413,68 +486,52 @@ void ReplFollower::Promote() {
 void ReplFollower::HandleFrame(const std::string& payload) {
   const std::optional<ReplFrame> frame = DecodeReplFrame(payload);
   if (!frame) return;  // corrupt control frame — next heartbeat re-syncs
-  switch (frame->kind) {
-    case ReplFrameKind::kRecord: {
-      FollowerCore::Outcome outcome;
-      {
-        // Serialize the harness mutation against a concurrent Promote():
-        // the harness has a single-update-thread contract and promotion is
-        // an update (a durable epoch append).
-        const std::lock_guard<std::mutex> lock(promote_mu_);
-        outcome = core_.OnRecord(frame->epoch, frame->hash, frame->record);
-      }
-      switch (outcome) {
-        case FollowerCore::Outcome::kApplied:
-        case FollowerCore::Outcome::kDuplicate: {
-          {
-            const std::lock_guard<std::mutex> seq_lock(seq_mu_);
-            applied_seq_ = harness_.LastDurableSeq();
-          }
-          seq_cv_.notify_all();
-          ReplFrame ack;
-          ack.kind = ReplFrameKind::kAck;
-          ack.epoch = harness_.Epoch();
-          ack.seq = harness_.LastDurableSeq();
-          sender_->Send(EncodeReplFrame(ack));
-          // A record from a live primary is proof of life.
-          last_heartbeat_ = std::chrono::steady_clock::now();
-          break;
-        }
-        case FollowerCore::Outcome::kResync: {
-          ReplFrame hello;
-          hello.kind = ReplFrameKind::kHello;
-          hello.epoch = harness_.Epoch();
-          hello.seq = harness_.LastDurableSeq();
-          sender_->Send(EncodeReplFrame(hello));
-          last_heartbeat_ = std::chrono::steady_clock::now();
-          break;
-        }
-        case FollowerCore::Outcome::kFenced: {
-          // A stale-epoch sender gets told, loudly and repeatedly. NOT
-          // proof of life: a deposed primary must not hold off anything.
-          ReplFrame fence;
-          fence.kind = ReplFrameKind::kFence;
-          fence.epoch = harness_.Epoch();
-          sender_->Send(EncodeReplFrame(fence));
-          break;
-        }
-      }
-      break;
+  if (frame->kind == ReplFrameKind::kHeartbeat) {
+    if (frame->epoch < harness_.Epoch()) {
+      Send(ReplFrameKind::kFence);
+    } else {
+      last_heartbeat_ = std::chrono::steady_clock::now();
     }
-    case ReplFrameKind::kHeartbeat: {
-      if (frame->epoch < harness_.Epoch()) {
-        ReplFrame fence;
-        fence.kind = ReplFrameKind::kFence;
-        fence.epoch = harness_.Epoch();
-        sender_->Send(EncodeReplFrame(fence));
-      } else {
-        last_heartbeat_ = std::chrono::steady_clock::now();
-      }
-      break;
-    }
-    default:
-      break;  // primaries do not send HELLO/ACK/FENCE; ignore
+    return;
   }
+  if (frame->kind != ReplFrameKind::kRecord && frame->kind != ReplFrameKind::kVerify) {
+    return;  // primaries do not send HELLO/ACK/FENCE; ignore
+  }
+  FollowerCore::Outcome outcome;
+  std::uint64_t verified;
+  {
+    // Serialize the harness mutation against a concurrent Promote(): the
+    // harness has a single-update-thread contract and promotion is an
+    // update (a durable epoch append).
+    const std::lock_guard<std::mutex> lock(promote_mu_);
+    outcome = frame->kind == ReplFrameKind::kRecord
+                  ? core_.OnRecord(frame->epoch, frame->record)
+                  : core_.OnVerify(frame->epoch, frame->seq, frame->hash, frame->rejected);
+    verified = core_.VerifiedSeq();
+  }
+  switch (outcome) {
+    case FollowerCore::Outcome::kStaged:
+      break;  // publish and ack wait for the VERIFY
+    case FollowerCore::Outcome::kApplied:
+    case FollowerCore::Outcome::kDuplicate:
+      {
+        const std::lock_guard<std::mutex> seq_lock(seq_mu_);
+        applied_seq_ = verified;
+      }
+      seq_cv_.notify_all();
+      Send(ReplFrameKind::kAck, verified);
+      break;
+    case FollowerCore::Outcome::kResync:
+      Send(ReplFrameKind::kHello, verified);
+      break;
+    case FollowerCore::Outcome::kFenced:
+      // A stale-epoch sender gets told, loudly and repeatedly. NOT proof
+      // of life: a deposed primary must not hold off anything.
+      Send(ReplFrameKind::kFence);
+      return;
+  }
+  // A frame from a live primary is proof of life.
+  last_heartbeat_ = std::chrono::steady_clock::now();
 }
 
 void ReplFollower::LinkLoop() {

@@ -29,7 +29,7 @@ struct ServeHarness::RecoveredState {
 
 ServeHarness::ServeHarness(const Instance& instance, incremental::SolverOptions options)
     : solver_(std::make_unique<incremental::IncrementalSolver>(instance, options)) {
-  PublishCurrent();
+  Publish(BuildCurrent());
 }
 
 ServeHarness::ServeHarness(const Instance& instance, incremental::SolverOptions options,
@@ -43,7 +43,7 @@ ServeHarness::ServeHarness(const Instance& instance, incremental::SolverOptions 
               "serve: '" + durability.dir +
                   "' already holds serving state; use RecoverFrom");
   wal_ = EventWal::OpenForAppend(WalPath(durability), durability.sync_appends);
-  PublishCurrent();
+  Publish(BuildCurrent());
 }
 
 ServeHarness::ServeHarness(const Instance& instance, incremental::SolverOptions options,
@@ -85,7 +85,7 @@ ServeHarness::ServeHarness(const Instance& instance, incremental::SolverOptions 
   // the uninterrupted run's latest snapshot had (CanonicalHash mixes the
   // version, so the recovery-equivalence oracle depends on this line).
   next_version_ = version + successes;
-  PublishCurrent();
+  Publish(BuildCurrent());
 
   wal_ = EventWal::OpenForAppend(WalPath(durability), durability_.sync_appends);
 }
@@ -143,16 +143,27 @@ std::unique_ptr<ServeHarness> ServeHarness::RecoverFrom(
       new ServeHarness(instance, options, durability, std::move(recovered)));
 }
 
-void ServeHarness::PublishCurrent() {
+std::unique_ptr<const PlacementSnapshot> ServeHarness::BuildCurrent() const {
   // The published snapshot is the base: the new one shares every page this
   // batch left unchanged (none before the first publish).
-  SnapshotStore::Ref base = store_.Acquire();
-  auto snapshot = PlacementSnapshot::Build(solver_->View(), solver_->Capacity(),
-                                           solver_->Demands(), solver_->Current(),
-                                           next_version_, base.get());
-  base.Release();
+  const SnapshotStore::Ref base = store_.Acquire();
+  return PlacementSnapshot::Build(solver_->View(), solver_->Capacity(),
+                                  solver_->Demands(), solver_->Current(),
+                                  next_version_, base.get());
+}
+
+void ServeHarness::Publish(std::unique_ptr<const PlacementSnapshot> snapshot) {
   store_.Publish(std::move(snapshot));
   ++next_version_;
+}
+
+void ServeHarness::RequireNothingStaged() const {
+  // A staged batch is applied but not published: a checkpoint, an epoch
+  // record or a second batch cut in here would record a state whose
+  // version was never assigned.
+  if (staged_) {
+    throw InternalError("serve: a staged batch awaits its Commit");
+  }
 }
 
 void ServeHarness::RequireWal() {
@@ -167,8 +178,19 @@ void ServeHarness::RequireWal() {
 }
 
 bool ServeHarness::ApplyAndPublish(std::span<const incremental::UpdateEvent> events) {
-  const bool durable = !durability_.dir.empty();
-  if (durable) {
+  StagedBatch staged = Stage(events);
+  const bool feasible = staged.feasible;
+  const std::exception_ptr rejection = staged.rejection;
+  Commit(std::move(staged));
+  if (rejection) std::rethrow_exception(rejection);
+  return feasible;
+}
+
+ServeHarness::StagedBatch ServeHarness::Stage(
+    std::span<const incremental::UpdateEvent> events, const OnLogged& on_logged) {
+  RequireNothingStaged();
+  StagedBatch staged;
+  if (!durability_.dir.empty()) {
     RequireWal();
     // Log-then-apply: a batch the log never heard about must not reach the
     // solver. An append that fails with InternalError (real or injected
@@ -176,41 +198,49 @@ bool ServeHarness::ApplyAndPublish(std::span<const incremental::UpdateEvent> eve
     // happened; serve the last good snapshot and mark it stale. An
     // InjectedFault (crash simulation) propagates with the torn tail left
     // on disk for RecoverFrom to truncate.
+    std::string record;
     try {
-      wal_->Append(seq_ + 1, std::vector<incremental::UpdateEvent>(
-                                 events.begin(), events.end()));
+      record = wal_->Append(seq_ + 1, events);
     } catch (const InternalError&) {
       stale_.store(true, std::memory_order_relaxed);
       throw;
     }
-    ++seq_;
+    staged.seq = ++seq_;
+    if (on_logged) on_logged(staged.seq, record);
   }
   fail::Hit("serve.post_wal");  // crash window: logged but not applied
 
-  bool feasible = false;
   try {
-    feasible = solver_->Apply(events);
+    staged.feasible = solver_->Apply(events);
     fail::Hit("serve.post_apply");  // crash window: applied but not published
   } catch (const InvalidArgument&) {
     // Validation failure: the caller's batch was bad, the solver state is
     // untouched, the last snapshot is NOT stale — nothing was lost.
-    throw;
+    staged.rejection = std::current_exception();
   } catch (...) {
     stale_.store(true, std::memory_order_relaxed);
     throw;
   }
+  if (!staged.rejection) staged.snapshot = BuildCurrent();
+  staged_ = true;
+  return staged;
+}
 
-  PublishCurrent();
+void ServeHarness::Commit(StagedBatch staged) {
+  RPT_CHECK(staged_);
+  staged_ = false;
+  if (staged.rejection) return;
+  Publish(std::move(staged.snapshot));
   stale_.store(false, std::memory_order_relaxed);
-  if (durable) {
+  if (!durability_.dir.empty()) {
     ++applies_since_checkpoint_;
     MaybeCheckpoint();
   }
-  return feasible;
 }
 
 void ServeHarness::Checkpoint() {
   if (durability_.dir.empty()) return;
+  RequireNothingStaged();
   RequireWal();
   // A checkpoint failure throws InternalError but does NOT mark the
   // harness stale: the published snapshot is current and the WAL still
@@ -268,6 +298,7 @@ void ServeHarness::AdoptEpoch(std::uint64_t epoch) {
               "serve: epoch may not move backwards (have " +
                   std::to_string(Epoch()) + ", asked " + std::to_string(epoch) +
                   ")");
+  RequireNothingStaged();
   if (!durability_.dir.empty()) {
     RequireWal();
     // Durable first, visible second: a promoted follower whose epoch bump

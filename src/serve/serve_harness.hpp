@@ -18,6 +18,11 @@
 //    pins the current snapshot for exactly its own duration. Queries never
 //    block on the solver or the publisher.
 //
+// ApplyAndPublish is two steps, and the replication link calls them apart:
+// Stage logs the batch, applies it and builds its snapshot; Commit
+// publishes. A follower holds a staged batch until the primary's VERIFY
+// vouches for it (serve/repl_link.hpp); nothing else may run in between.
+//
 // An infeasible state (legal — e.g. a surge no placement can absorb) is
 // still published: its snapshot has no replicas, which-replica/attach
 // queries answer not-ok, and the version keeps advancing.
@@ -67,6 +72,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -120,12 +127,41 @@ class ServeHarness {
   ServeHarness& operator=(const ServeHarness&) = delete;
 
   /// Applies one event batch to the solver and publishes a snapshot of the
-  /// resulting state. Returns the new state's feasibility. Throws
-  /// InvalidArgument (and publishes nothing) when the batch fails the
-  /// solver's atomic validation; throws InternalError (and enters degraded
-  /// mode — see Stale()) on a durability failure. Single update thread
-  /// only.
+  /// resulting state: Stage, then Commit. Returns the new state's
+  /// feasibility. Throws InvalidArgument (and publishes nothing) when the
+  /// batch fails the solver's atomic validation; throws InternalError (and
+  /// enters degraded mode — see Stale()) on a durability failure. Single
+  /// update thread only.
   bool ApplyAndPublish(std::span<const incremental::UpdateEvent> events);
+
+  /// A batch that is logged and applied, with its snapshot built but not
+  /// yet published. The replication link holds one between a follower's
+  /// apply and the primary's verdict (serve/repl_link.hpp).
+  struct StagedBatch {
+    std::uint64_t seq = 0;  ///< WAL seq the batch consumed (0 when not durable)
+    std::unique_ptr<const PlacementSnapshot> snapshot;  ///< null when rejected
+    bool feasible = false;
+    std::exception_ptr rejection;  ///< the solver's InvalidArgument, if any
+  };
+
+  /// Called by Stage once the batch is WAL-durable, before the solver sees
+  /// it, with the framed record exactly as the WAL wrote it.
+  using OnLogged = std::function<void(std::uint64_t seq, const std::string& record)>;
+
+  /// The first half of ApplyAndPublish: logs the batch (durable mode),
+  /// hands its record to `on_logged`, applies it and builds the next
+  /// snapshot, publishing nothing. A batch that fails validation comes
+  /// back with `rejection` set instead of throwing: it consumed its seq.
+  /// Durability and internal failures throw as from ApplyAndPublish. Until
+  /// the batch is committed the harness refuses another Stage, AdoptEpoch
+  /// and Checkpoint. Update thread only.
+  [[nodiscard]] StagedBatch Stage(std::span<const incremental::UpdateEvent> events,
+                                  const OnLogged& on_logged = nullptr);
+
+  /// The second half: publishes the staged snapshot (nothing for a
+  /// rejected batch), clears the stale flag and cuts a due periodic
+  /// checkpoint. Update thread only.
+  void Commit(StagedBatch staged);
 
   /// Pins the current snapshot (always non-empty — the constructor
   /// publishes version 1 before returning). Any thread.
@@ -215,9 +251,11 @@ class ServeHarness {
   ServeHarness(const Instance& instance, incremental::SolverOptions options,
                const DurabilityOptions& durability, RecoveredState&& recovered);
 
-  void PublishCurrent();
+  void Publish(std::unique_ptr<const PlacementSnapshot> snapshot);
+  [[nodiscard]] std::unique_ptr<const PlacementSnapshot> BuildCurrent() const;
   void MaybeCheckpoint();
   void RequireWal();
+  void RequireNothingStaged() const;
 
   /// Behind a pointer (not a plain member) because recovery picks between
   /// the from-scratch and the restore constructor at runtime and the
@@ -225,6 +263,7 @@ class ServeHarness {
   std::unique_ptr<incremental::IncrementalSolver> solver_;
   SnapshotStore store_;
   std::uint64_t next_version_ = 1;  // update-thread-owned
+  bool staged_ = false;  // a Stage awaits its Commit (update-thread-owned)
   mutable std::atomic<std::uint64_t> queries_answered_{0};
   std::atomic<bool> stale_{false};
   std::atomic<std::uint64_t> epoch_{1};

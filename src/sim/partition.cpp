@@ -54,6 +54,9 @@ PartitionResult RunPartitionFailover(const Instance& instance,
   RPT_REQUIRE(!trace.empty(), "partition: trace must be non-empty");
   RPT_REQUIRE(config.fault_at_batch <= trace.size(),
               "partition: fault index past the end of the trace");
+  RPT_REQUIRE(config.fault != PartitionFault::kPrimaryStopBeforeVerify ||
+                  config.fault_at_batch < trace.size(),
+              "partition: a stop before VERIFY needs a batch after the fault index");
   RPT_REQUIRE(!config.primary_dir.empty() && !config.follower_dir.empty(),
               "partition: needs primary and follower state directories");
 
@@ -150,6 +153,20 @@ PartitionResult RunPartitionFailover(const Instance& instance,
       case PartitionFault::kPrimaryStop:
         primary.Stop();
         break;
+      case PartitionFault::kPrimaryStopBeforeVerify: {
+        // The next batch's RECORD ships, then the primary "dies" before
+        // its VERIFY. Stop it only once the follower has staged the
+        // record, so the window is hit deterministically.
+        const std::uint64_t staged_before = follower->Core().Staged();
+        fail::Arm("repl.pre_verify", fail::Action::kThrow);
+        try {
+          (void)primary.Apply(trace[applied_by_primary]);
+        } catch (const fail::InjectedFault&) {
+        }
+        RPT_CHECK(PollFor(5000, [&] { return follower->Core().Staged() > staged_before; }));
+        primary.Stop();
+        break;
+      }
     }
 
     // Phase 3: failover. Optionally bounce the follower through its own
@@ -170,8 +187,10 @@ PartitionResult RunPartitionFailover(const Instance& instance,
                         [&] { return follower->Promoted(); }));
       result.follower_seq = follower_harness->LastDurableSeq() - 1;
     } else {
-      result.follower_seq = follower_harness->LastDurableSeq();
+      // Read after Promote, which serializes with the link thread (it may
+      // have staged a batch right up to the fault).
       follower->Promote();
+      result.follower_seq = follower_harness->LastDurableSeq() - 1;  // epoch record
     }
     result.promoted_epoch = follower_harness->Epoch();
 

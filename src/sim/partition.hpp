@@ -15,6 +15,7 @@
 //
 // The fault dimensions the oracle tests sweep (tests/test_repl.cpp):
 //   fault kind      × hard partition (sticky repl.partition) / primary stop
+//                     / primary stop between a batch's RECORD and VERIFY
 //   crash point     × fault batch index along the trace; optionally crash
 //                     AND recover the follower from its own WAL before
 //                     promoting (the promotion must survive the restart)
@@ -41,13 +42,19 @@ enum class PartitionFault : std::uint8_t {
   kNone = 0,          ///< no fault: replicate the whole trace, then promote
   kPartition = 1,     ///< sticky repl.partition — both directions drop
   kPrimaryStop = 2,   ///< primary process "dies" (listener + conns torn down)
+  /// The primary dies inside batch fault_at_batch + 1, after its RECORD
+  /// shipped and before its VERIFY (repl.pre_verify). The follower holds
+  /// the batch staged and WAL-durable; promotion publishes it, so the
+  /// follower's seq is one past the watermark.
+  kPrimaryStopBeforeVerify = 3,
 };
 
 struct PartitionConfig {
   std::string primary_dir;   ///< fresh durable dir for the primary
   std::string follower_dir;  ///< fresh durable dir for the follower
   /// 1-based index of the last batch replicated cleanly; the fault fires
-  /// after it (0 = fault before any batch).
+  /// after it (0 = fault before any batch). kPrimaryStopBeforeVerify needs
+  /// a batch after it.
   std::uint64_t fault_at_batch = 0;
   PartitionFault fault = PartitionFault::kPartition;
   /// Partitioned-primary writes: after the fault, the primary applies this
@@ -84,7 +91,8 @@ struct PartitionResult {
 };
 
 /// Runs the scenario described above. Throws InvalidArgument on an empty
-/// trace or a fault index past the trace end; propagates InternalError
+/// trace or a fault index past the trace end (or at it, for
+/// kPrimaryStopBeforeVerify); propagates InternalError
 /// (divergence, recovery refusal) — the scenario never papers over a loud
 /// failure. Disarms all failpoints on every exit path.
 [[nodiscard]] PartitionResult RunPartitionFailover(

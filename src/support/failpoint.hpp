@@ -28,6 +28,9 @@
 //   repl.partition     kError  — hard partition: EVERY replication frame in
 //                                either direction is dropped (sticky: arm
 //                                with ArmSticky, heal with Disarm)
+//   repl.pre_verify    kThrow  — ReplPrimary::Apply stops between a batch's
+//                                RECORD and its VERIFY (a primary death
+//                                in the execute-verify window)
 //
 // Actions:
 //  * kThrow    — Hit() throws InjectedFault. The in-process crash

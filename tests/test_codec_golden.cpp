@@ -112,12 +112,13 @@ TEST(CodecGolden, EveryReplFrameKind) {
   std::string all;
   for (const ReplFrameKind kind : {ReplFrameKind::kHello, ReplFrameKind::kAck,
                                    ReplFrameKind::kHeartbeat, ReplFrameKind::kRecord,
-                                   ReplFrameKind::kFence}) {
+                                   ReplFrameKind::kFence, ReplFrameKind::kVerify}) {
     ReplFrame frame;
     frame.kind = kind;
     frame.epoch = 0x0102030405060708ull;
     frame.seq = 0x1112131415161718ull;
     frame.hash = 0xDEADBEEFCAFEF00Dull;
+    frame.rejected = true;
     frame.record = serve::EventWal::FrameRecord(serve::EventWal::EncodeEpochPayload(5, 2));
     all += Hex(serve::EncodeReplFrame(frame)) + "|";
   }
@@ -125,9 +126,11 @@ TEST(CodecGolden, EveryReplFrameKind) {
             "0108070605040302011817161514131211|"
             "0308070605040302011817161514131211|"
             "0408070605040302011817161514131211|"
-            "0208070605040302010df0fecaefbeadde140000007f7550e205000000000000"
-            "00ffffffff0200000000000000|"
-            "050807060504030201|");
+            "020807060504030201140000007f7550e20500000000000000ffffffff02000000"
+            "00000000|"
+            "050807060504030201|"
+            "0608070605040302011817161514131211"
+            "0df0fecaefbeadde01|");
 }
 
 TEST(CodecGolden, QueryRequestAndResponse) {

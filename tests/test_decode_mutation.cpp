@@ -235,11 +235,19 @@ TEST(DecodeMutation, EveryReplFrameKind) {
     frame.seq = 12345;
     frames.push_back(serve::EncodeReplFrame(frame));
   }
+  for (const bool rejected : {false, true}) {
+    serve::ReplFrame frame;
+    frame.kind = serve::ReplFrameKind::kVerify;
+    frame.epoch = 3;
+    frame.seq = 12345;
+    frame.hash = 0xDEADBEEFCAFEF00Dull;
+    frame.rejected = rejected;
+    frames.push_back(serve::EncodeReplFrame(frame));
+  }
   for (const std::string& record : WalRecords()) {
     serve::ReplFrame frame;
     frame.kind = serve::ReplFrameKind::kRecord;
     frame.epoch = 2;
-    frame.hash = 0xDEADBEEFCAFEF00Dull;
     frame.record = record;
     frames.push_back(serve::EncodeReplFrame(frame));
   }

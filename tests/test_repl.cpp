@@ -2,12 +2,13 @@
 //
 // Three layers:
 //
-//  * FollowerCore unit tests drive the socket-free record state machine
-//    directly — including the same corruption corpus test_event_wal runs
-//    (truncate the framed record at every byte, flip a bit in every byte):
-//    every damaged record must come back kResync or throw, NEVER apply, and
-//    the pristine record must still apply afterwards ("retry or loud,
-//    never divergent").
+//  * FollowerCore unit tests drive the socket-free RECORD/VERIFY state
+//    machine directly — a staged batch publishes only on a matching
+//    VERIFY, mismatches are loud, out-of-order frames resync — including
+//    the same corruption corpus test_event_wal runs (truncate the framed
+//    record at every byte, flip a bit in every byte): every damaged record
+//    must come back kResync or throw, NEVER apply, and the pristine record
+//    must still apply afterwards ("retry or loud, never divergent").
 //
 //  * Live-link tests run a real ReplPrimary + ReplFollower over loopback:
 //    clean shipping, per-frame link faults (drop / dup / reorder) healing
@@ -120,14 +121,28 @@ TEST(ReplFrame, AllKindsRoundTrip) {
   ReplFrame record;
   record.kind = ReplFrameKind::kRecord;
   record.epoch = 7;
-  record.hash = 0xDEADBEEFCAFEF00Dull;
   record.record = std::string("\x01\x02\x03\x00\x04", 5);
   const std::optional<ReplFrame> rec = DecodeReplFrame(EncodeReplFrame(record));
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->kind, ReplFrameKind::kRecord);
   EXPECT_EQ(rec->epoch, 7u);
-  EXPECT_EQ(rec->hash, record.hash);
   EXPECT_EQ(rec->record, record.record);
+
+  for (const bool rejected : {false, true}) {
+    ReplFrame verify;
+    verify.kind = ReplFrameKind::kVerify;
+    verify.epoch = 7;
+    verify.seq = 99;
+    verify.hash = 0xDEADBEEFCAFEF00Dull;
+    verify.rejected = rejected;
+    const std::optional<ReplFrame> out = DecodeReplFrame(EncodeReplFrame(verify));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->kind, ReplFrameKind::kVerify);
+    EXPECT_EQ(out->epoch, 7u);
+    EXPECT_EQ(out->seq, 99u);
+    EXPECT_EQ(out->hash, verify.hash);
+    EXPECT_EQ(out->rejected, rejected);
+  }
 
   for (const ReplFrameKind kind :
        {ReplFrameKind::kHello, ReplFrameKind::kAck, ReplFrameKind::kHeartbeat}) {
@@ -163,11 +178,17 @@ TEST(ReplFrame, DamagedPayloadsDecodeToNullopt) {
   // A control frame with any byte missing or extra is structural damage.
   EXPECT_FALSE(DecodeReplFrame(wire.substr(0, wire.size() - 1)).has_value());
   EXPECT_FALSE(DecodeReplFrame(wire + "x").has_value());
-  // A RECORD must at least carry epoch + hash.
+  // A RECORD must at least carry its epoch.
   EXPECT_FALSE(DecodeReplFrame(std::string("\x02", 1) + "short").has_value());
+  // A VERIFY's rejected byte is a bit: any other value is damage.
+  ReplFrame verify;
+  verify.kind = ReplFrameKind::kVerify;
+  wire = EncodeReplFrame(verify);
+  wire.back() = 2;
+  EXPECT_FALSE(DecodeReplFrame(wire).has_value());
 }
 
-// --- FollowerCore: the record state machine -------------------------------
+// --- FollowerCore: the two-frame state machine ---------------------------
 
 std::string RecordFrameFor(std::uint64_t seq,
                            const std::vector<UpdateEvent>& events) {
@@ -185,25 +206,24 @@ TEST(FollowerCore, AppliesDuplicatesGapsAndStaleEpochs) {
   oracle.ApplyAndPublish(batch1);
   const std::string frame1 = RecordFrameFor(1, batch1);
 
-  EXPECT_EQ(core.OnRecord(1, HashOf(oracle), frame1),
+  EXPECT_EQ(core.OnRecord(1, frame1), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(core.OnVerify(1, 1, HashOf(oracle), false),
             FollowerCore::Outcome::kApplied);
   EXPECT_EQ(harness.LastDurableSeq(), 1u);
   EXPECT_EQ(HashOf(harness), HashOf(oracle));
 
   // Same record again: already durable, re-ack without re-applying.
-  EXPECT_EQ(core.OnRecord(1, HashOf(oracle), frame1),
-            FollowerCore::Outcome::kDuplicate);
+  EXPECT_EQ(core.OnRecord(1, frame1), FollowerCore::Outcome::kDuplicate);
   EXPECT_EQ(harness.LastDurableSeq(), 1u);
 
   // A gap (seq 5 when 2 is expected) asks for resync, applies nothing.
   const std::vector<UpdateEvent> batch5{UpdateEvent::DemandDelta(32, 1)};
-  EXPECT_EQ(core.OnRecord(1, 0, RecordFrameFor(5, batch5)),
+  EXPECT_EQ(core.OnRecord(1, RecordFrameFor(5, batch5)),
             FollowerCore::Outcome::kResync);
   EXPECT_EQ(harness.LastDurableSeq(), 1u);
 
   // A stale sender epoch is fenced before the record is even decoded.
-  EXPECT_EQ(core.OnRecord(0, HashOf(oracle), frame1),
-            FollowerCore::Outcome::kFenced);
+  EXPECT_EQ(core.OnRecord(0, frame1), FollowerCore::Outcome::kFenced);
   EXPECT_EQ(core.StaleEpochRejections(), 1u);
   EXPECT_EQ(harness.LastDurableSeq(), 1u);
 
@@ -220,17 +240,18 @@ TEST(FollowerCore, EpochRecordAdoptsAndFencesOlderSenders) {
   ASSERT_EQ(harness.Epoch(), 1u);
 
   // An epoch record ships like any other record and consumes a seq; the
-  // snapshot is untouched, so the expected hash is the current one.
+  // snapshot is untouched, so the VERIFY carries the current hash.
   const std::string bump =
       EventWal::FrameRecord(EventWal::EncodeEpochPayload(1, 3));
-  EXPECT_EQ(core.OnRecord(3, HashOf(harness), bump),
+  EXPECT_EQ(core.OnRecord(3, bump), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(core.OnVerify(3, 1, HashOf(harness), false),
             FollowerCore::Outcome::kApplied);
   EXPECT_EQ(harness.Epoch(), 3u);
   EXPECT_EQ(harness.LastDurableSeq(), 1u);
 
   // Epoch-2 senders are now history.
   const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 1)};
-  EXPECT_EQ(core.OnRecord(2, 0, RecordFrameFor(2, batch)),
+  EXPECT_EQ(core.OnRecord(2, RecordFrameFor(2, batch)),
             FollowerCore::Outcome::kFenced);
 }
 
@@ -242,15 +263,14 @@ TEST(FollowerCore, DivergenceAndUnparseablePayloadsAreLoud) {
 
   // Valid CRC over an unparseable payload: a writer bug, not transport
   // damage — must throw, not resync.
-  EXPECT_THROW(core.OnRecord(1, 0, EventWal::FrameRecord("garbage")),
-               InternalError);
+  EXPECT_THROW(core.OnRecord(1, EventWal::FrameRecord("garbage")), InternalError);
   EXPECT_EQ(harness.LastDurableSeq(), 0u);
 
   // A record whose post-apply hash disagrees with the primary's is the
   // fork replication exists to rule out.
   const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
-  EXPECT_THROW(core.OnRecord(1, /*expected_hash=*/0x1234, RecordFrameFor(1, batch)),
-               InternalError);
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, batch)), FollowerCore::Outcome::kStaged);
+  EXPECT_THROW(core.OnVerify(1, 1, /*hash=*/0x1234, false), InternalError);
 }
 
 // The lying-length corpus over the link: a RECORD frame carrying a WAL
@@ -275,7 +295,7 @@ TEST(FollowerCore, RecordWrappingALyingWalRecordIsLoud) {
   record.record = lying;
   const std::optional<ReplFrame> frame = DecodeReplFrame(EncodeReplFrame(record));
   ASSERT_TRUE(frame.has_value());
-  EXPECT_THROW(core.OnRecord(frame->epoch, frame->hash, frame->record), InternalError);
+  EXPECT_THROW(core.OnRecord(frame->epoch, frame->record), InternalError);
   EXPECT_EQ(harness.LastDurableSeq(), 0u);
 }
 
@@ -296,8 +316,7 @@ TEST(FollowerCore, CorruptionCorpusRetryOrLoudNeverDivergent) {
   const auto assert_rejected = [&](const std::string& damaged,
                                    const std::string& what) {
     try {
-      const FollowerCore::Outcome outcome =
-          core.OnRecord(1, expected_hash, damaged);
+      const FollowerCore::Outcome outcome = core.OnRecord(1, damaged);
       EXPECT_EQ(outcome, FollowerCore::Outcome::kResync) << what;
     } catch (const InternalError&) {
       // Loud is the other acceptable answer (valid CRC, broken payload).
@@ -320,10 +339,220 @@ TEST(FollowerCore, CorruptionCorpusRetryOrLoudNeverDivergent) {
 
   // The retry path then succeeds: the pristine record still applies and
   // lands exactly on the primary's hash.
-  EXPECT_EQ(core.OnRecord(1, expected_hash, pristine),
-            FollowerCore::Outcome::kApplied);
+  EXPECT_EQ(core.OnRecord(1, pristine), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(core.OnVerify(1, 1, expected_hash, false), FollowerCore::Outcome::kApplied);
   EXPECT_EQ(HashOf(harness), expected_hash);
   EXPECT_EQ(core.Applied(), 1u);
+}
+
+// Everything a client can see of a follower — the published snapshot, the
+// acked (verified) seq — stays put between a RECORD and its VERIFY.
+struct Visible {
+  std::uint64_t version;
+  std::uint64_t publishes;
+  std::uint64_t verified;
+  bool operator==(const Visible&) const = default;
+};
+
+Visible VisibleOf(const ServeHarness& harness, const FollowerCore& core) {
+  return {harness.Pin()->Version(), harness.Publishes(), core.VerifiedSeq()};
+}
+
+TEST(FollowerCore, StagedBatchPublishesOnlyOnAMatchingVerify) {
+  const Instance instance = MakeInstance(40);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ServeHarness oracle(instance);
+  FollowerCore core(harness);
+
+  const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
+  oracle.ApplyAndPublish(batch);
+  const Visible before = VisibleOf(harness, core);
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, batch)), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(harness.LastDurableSeq(), 1u);  // logged ...
+  EXPECT_EQ(VisibleOf(harness, core), before);  // ... but neither published nor acked
+  EXPECT_EQ(core.Staged(), 1u);
+
+  EXPECT_EQ(core.OnVerify(1, 1, HashOf(oracle), false), FollowerCore::Outcome::kApplied);
+  EXPECT_EQ(HashOf(harness), HashOf(oracle));
+  EXPECT_EQ(core.VerifiedSeq(), 1u);
+  EXPECT_EQ(harness.Publishes(), before.publishes + 1);
+}
+
+TEST(FollowerCore, VerifyHashMismatchIsLoudAndPublishesNothing) {
+  const Instance instance = MakeInstance(41);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  FollowerCore core(harness);
+
+  const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
+  const Visible before = VisibleOf(harness, core);
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, batch)), FollowerCore::Outcome::kStaged);
+  EXPECT_THROW(core.OnVerify(1, 1, HashOf(harness) ^ 1, false), InternalError);
+  EXPECT_EQ(VisibleOf(harness, core), before);
+  // The divergent batch stays held: a retried VERIFY is still checked.
+  EXPECT_THROW(core.OnVerify(1, 1, HashOf(harness) ^ 1, false), InternalError);
+  EXPECT_EQ(VisibleOf(harness, core), before);
+  EXPECT_EQ(core.Applied(), 0u);
+}
+
+TEST(FollowerCore, RejectedBitMismatchIsLoud) {
+  const Instance instance = MakeInstance(42);
+  const std::vector<UpdateEvent> good{UpdateEvent::DemandDelta(31, 2)};
+  const std::vector<UpdateEvent> bad{UpdateEvent::DemandDelta(31, 1),
+                                     UpdateEvent::Capacity(0)};
+  ServeHarness oracle(instance);
+  oracle.ApplyAndPublish(good);
+
+  {
+    // The primary says it rejected a batch the follower applied.
+    const TempDir dir;
+    ServeHarness harness(instance, {}, Durable(dir.path));
+    FollowerCore core(harness);
+    const Visible before = VisibleOf(harness, core);
+    ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, good)), FollowerCore::Outcome::kStaged);
+    EXPECT_THROW(core.OnVerify(1, 1, HashOf(oracle), /*rejected=*/true), InternalError);
+    EXPECT_EQ(VisibleOf(harness, core), before);
+  }
+  {
+    // The primary says it applied a batch the follower rejected.
+    const TempDir dir;
+    ServeHarness harness(instance, {}, Durable(dir.path));
+    FollowerCore core(harness);
+    const Visible before = VisibleOf(harness, core);
+    ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, bad)), FollowerCore::Outcome::kStaged);
+    EXPECT_THROW(core.OnVerify(1, 1, HashOf(harness), /*rejected=*/false), InternalError);
+    EXPECT_EQ(VisibleOf(harness, core), before);
+  }
+}
+
+TEST(FollowerCore, RejectedBatchVerifiesAndConsumesItsSeq) {
+  const Instance instance = MakeInstance(43);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  FollowerCore core(harness);
+  const std::vector<UpdateEvent> bad{UpdateEvent::DemandDelta(31, 1),
+                                     UpdateEvent::Capacity(0)};
+  const std::uint64_t hash = HashOf(harness);
+  const std::uint64_t version = harness.Pin()->Version();
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, bad)), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(core.OnVerify(1, 1, hash, /*rejected=*/true), FollowerCore::Outcome::kApplied);
+  EXPECT_EQ(core.VerifiedSeq(), 1u);
+  EXPECT_EQ(harness.LastDurableSeq(), 1u);
+  EXPECT_EQ(harness.Pin()->Version(), version);
+  EXPECT_EQ(HashOf(harness), hash);
+}
+
+TEST(FollowerCore, VerifyWithNothingStagedResyncs) {
+  const Instance instance = MakeInstance(44);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  FollowerCore core(harness);
+  const Visible before = VisibleOf(harness, core);
+  EXPECT_EQ(core.OnVerify(1, 1, HashOf(harness), false), FollowerCore::Outcome::kResync);
+
+  // Staged seq 1, a VERIFY for seq 2 is not the pending one either.
+  const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, batch)), FollowerCore::Outcome::kStaged);
+  EXPECT_EQ(core.OnVerify(1, 2, HashOf(harness), false), FollowerCore::Outcome::kResync);
+  EXPECT_EQ(VisibleOf(harness, core), before);
+  EXPECT_EQ(core.Resyncs(), 2u);
+}
+
+TEST(FollowerCore, RecordWhileStagedResyncs) {
+  const Instance instance = MakeInstance(45);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ServeHarness oracle(instance);
+  FollowerCore core(harness);
+
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
+  oracle.ApplyAndPublish(a);
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, a)), FollowerCore::Outcome::kStaged);
+  // The next RECORD while seq 1 awaits its VERIFY: never staged over it.
+  EXPECT_EQ(core.OnRecord(1, RecordFrameFor(2, b)), FollowerCore::Outcome::kResync);
+  EXPECT_EQ(harness.LastDurableSeq(), 1u);
+  // Different bytes for the staged seq are two histories: loud.
+  EXPECT_THROW(core.OnRecord(1, RecordFrameFor(1, b)), InternalError);
+  // The staged batch still verifies.
+  EXPECT_EQ(core.OnVerify(1, 1, HashOf(oracle), false), FollowerCore::Outcome::kApplied);
+  EXPECT_EQ(HashOf(harness), HashOf(oracle));
+}
+
+TEST(FollowerCore, DuplicateRecordAndVerifyAreReAcked) {
+  const Instance instance = MakeInstance(46);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ServeHarness oracle(instance);
+  FollowerCore core(harness);
+
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
+  oracle.ApplyAndPublish(a);
+  const std::uint64_t hash1 = HashOf(oracle);
+  oracle.ApplyAndPublish(b);
+  const std::uint64_t hash2 = HashOf(oracle);
+
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, a)), FollowerCore::Outcome::kStaged);
+  // The staged RECORD again (a link dup): nothing applied twice.
+  EXPECT_EQ(core.OnRecord(1, RecordFrameFor(1, a)), FollowerCore::Outcome::kDuplicate);
+  ASSERT_EQ(core.OnVerify(1, 1, hash1, false), FollowerCore::Outcome::kApplied);
+  // Both frames of a verified seq again.
+  EXPECT_EQ(core.OnRecord(1, RecordFrameFor(1, a)), FollowerCore::Outcome::kDuplicate);
+  EXPECT_EQ(core.OnVerify(1, 1, hash1, false), FollowerCore::Outcome::kDuplicate);
+  // The VERIFY of the verified seq is checked against the published state.
+  EXPECT_THROW(core.OnVerify(1, 1, hash1 ^ 1, false), InternalError);
+
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(2, b)), FollowerCore::Outcome::kStaged);
+  // An older VERIFY while seq 2 is staged is a duplicate, not a resync.
+  EXPECT_EQ(core.OnVerify(1, 1, hash1, false), FollowerCore::Outcome::kDuplicate);
+  EXPECT_EQ(core.OnVerify(1, 2, hash2, false), FollowerCore::Outcome::kApplied);
+  EXPECT_EQ(core.Duplicates(), 4u);
+  EXPECT_EQ(core.Applied(), 2u);
+  EXPECT_EQ(HashOf(harness), hash2);
+}
+
+TEST(FollowerCore, StaleEpochVerifyIsFenced) {
+  const Instance instance = MakeInstance(47);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ServeHarness oracle(instance);
+  FollowerCore core(harness);
+  harness.AdoptEpoch(2);  // seq 1
+
+  const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
+  ASSERT_EQ(core.OnRecord(2, RecordFrameFor(2, batch)), FollowerCore::Outcome::kStaged);
+  oracle.ApplyAndPublish(batch);
+  const Visible before = VisibleOf(harness, core);
+  // A deposed epoch-1 primary's VERIFY publishes nothing, even a matching one.
+  EXPECT_EQ(core.OnVerify(1, 2, HashOf(oracle), false), FollowerCore::Outcome::kFenced);
+  EXPECT_EQ(core.StaleEpochRejections(), 1u);
+  EXPECT_EQ(VisibleOf(harness, core), before);
+  EXPECT_EQ(core.OnVerify(2, 2, HashOf(oracle), false), FollowerCore::Outcome::kApplied);
+}
+
+TEST(FollowerCore, CommitPendingPublishesTheStagedBatch) {
+  const Instance instance = MakeInstance(48);
+  const TempDir dir;
+  ServeHarness harness(instance, {}, Durable(dir.path));
+  ServeHarness oracle(instance);
+  FollowerCore core(harness);
+  const std::vector<UpdateEvent> batch{UpdateEvent::DemandDelta(31, 2)};
+  oracle.ApplyAndPublish(batch);
+
+  core.CommitPending();  // nothing staged: no-op
+  EXPECT_EQ(core.VerifiedSeq(), 0u);
+  ASSERT_EQ(core.OnRecord(1, RecordFrameFor(1, batch)), FollowerCore::Outcome::kStaged);
+  // While staged the harness refuses anything that would cut in.
+  EXPECT_THROW(harness.Checkpoint(), InternalError);
+  EXPECT_THROW(harness.AdoptEpoch(2), InternalError);
+  // The record is WAL-durable, so it is committed: promotion publishes it.
+  core.CommitPending();
+  EXPECT_EQ(core.VerifiedSeq(), 1u);
+  EXPECT_EQ(HashOf(harness), HashOf(oracle));
+  // The VERIFY that the next HELLO re-ships then checks it.
+  EXPECT_EQ(core.OnVerify(1, 1, HashOf(oracle), false), FollowerCore::Outcome::kDuplicate);
 }
 
 // --- live link ------------------------------------------------------------
@@ -412,8 +641,10 @@ TEST(ReplLink, DroppedRecordHealsViaResync) {
   const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
   const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
 
-  fail::Arm("repl.link.drop", fail::Action::kError);
-  EXPECT_FALSE(pair.primary->Apply(a));  // shipped into the void
+  // Batch a ships into the void: its RECORD and its VERIFY both drop.
+  fail::ArmSticky("repl.link.drop", fail::Action::kError);
+  EXPECT_FALSE(pair.primary->Apply(a));
+  fail::Disarm("repl.link.drop");
   EXPECT_TRUE(PollFor(5000, [&] { return pair.primary->Apply(b); }))
       << "follower never caught up after the drop";
   // The primary retried b until the follower's gap-resync round-trip
@@ -448,11 +679,133 @@ TEST(ReplLink, ReorderedRecordsConverge) {
   fail::Arm("repl.link.reorder", fail::Action::kError);
   const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
   const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
-  (void)pair.primary->Apply(a);  // parked by the reorder fault
-  (void)pair.primary->Apply(b);  // goes out first, then a
+  (void)pair.primary->Apply(a);  // a's RECORD is parked until a's VERIFY is out
+  (void)pair.primary->Apply(b);
   // No further applies: the gap-resync round-trips alone must settle it.
   ASSERT_TRUE(pair.follower->WaitForSeq(2, 5000));
   EXPECT_EQ(HashOf(pair.follower_harness), HashOf(pair.primary_harness));
+}
+
+// A batch the primary's WAL could not make durable never reaches a
+// follower: neither frame ships, and the seq is not consumed.
+TEST(ReplLink, FailedWalAppendShipsNothing) {
+  const Instance instance = MakeInstance(52);
+  ReplPair pair(instance);
+  ASSERT_TRUE(pair.primary->WaitForFollowers(1, 5000));
+
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  fail::Arm("wal.sync", fail::Action::kError);  // the primary's append is the next hit
+  EXPECT_THROW((void)pair.primary->Apply(a), InternalError);
+  EXPECT_EQ(pair.primary_harness.LastDurableSeq(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(pair.follower->Core().Staged(), 0u);
+  EXPECT_EQ(pair.follower->Core().Resyncs(), 0u);
+
+  EXPECT_TRUE(pair.primary->Apply(a));
+  ASSERT_TRUE(pair.follower->WaitForSeq(1, 5000));
+  EXPECT_EQ(HashOf(pair.follower_harness), HashOf(pair.primary_harness));
+}
+
+// A follower recovered from its own disk subscribes with its seq; the
+// primary answers with that seq's retained VERIFY, so the recovered state
+// is checked against the primary's before anything new applies on it.
+TEST(ReplLink, RecoveredFollowerReverifiesItsStateOnHello) {
+  const Instance instance = MakeInstance(53);
+  const TempDir primary_dir;
+  const TempDir follower_dir;
+  ServeHarness primary_harness(instance, {}, Durable(primary_dir.path));
+  ReplPrimaryOptions popts;
+  popts.io_timeout_ms = 200;
+  ReplPrimary primary(primary_harness, popts);
+  primary.Start();
+  ReplFollowerOptions fopts;
+  fopts.io_timeout_ms = 20;
+  {
+    ServeHarness follower_harness(instance, {}, Durable(follower_dir.path));
+    ReplFollower follower(follower_harness, primary.Port(), fopts);
+    follower.Start();
+    ASSERT_TRUE(primary.WaitForFollowers(1, 5000));
+    EXPECT_TRUE(primary.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(31, 2)}));
+    ASSERT_TRUE(follower.WaitForSeq(1, 5000));
+    follower.Stop();
+  }
+  ASSERT_TRUE(PollFor(5000, [&] { return primary.Followers() == 0; }));
+
+  auto recovered = ServeHarness::RecoverFrom(instance, {}, Durable(follower_dir.path));
+  ReplFollower follower(*recovered, primary.Port(), fopts);
+  follower.Start();
+  EXPECT_TRUE(PollFor(5000, [&] { return follower.Core().Duplicates() >= 1; }));
+  EXPECT_EQ(follower.Core().Resyncs(), 0u);
+  EXPECT_TRUE(primary.Apply(std::vector<UpdateEvent>{UpdateEvent::DemandDelta(32, 1)}));
+  ASSERT_TRUE(follower.WaitForSeq(2, 5000));
+  EXPECT_EQ(HashOf(*recovered), HashOf(primary_harness));
+  follower.Stop();
+  primary.Stop();
+}
+
+// A VERIFY that never arrives: the follower has logged, applied and built
+// the batch, but publishes nothing, acks nothing and WaitForSeq does not
+// move until the resync re-ships the VERIFY.
+TEST(ReplLink, DroppedVerifyHoldsThePublishUntilResync) {
+  const Instance instance = MakeInstance(49);
+  ReplPair pair(instance, /*ack_wait_ms=*/100);
+  ASSERT_TRUE(pair.primary->WaitForFollowers(1, 5000));
+  const std::uint64_t publishes = pair.follower_harness.Publishes();
+  const std::uint64_t version = pair.follower_harness.Pin()->Version();
+
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
+  fail::Arm("repl.link.drop", fail::Action::kError, /*countdown=*/2);  // a's VERIFY
+  EXPECT_FALSE(pair.primary->Apply(a));
+  ASSERT_TRUE(PollFor(5000, [&] { return pair.follower->Core().Staged() >= 1; }));
+  EXPECT_FALSE(pair.follower->WaitForSeq(1, 200));
+  EXPECT_EQ(pair.follower_harness.Publishes(), publishes);
+  EXPECT_EQ(pair.follower_harness.Pin()->Version(), version);
+  EXPECT_EQ(pair.primary->Watermark(), 0u);
+
+  // b's RECORD finds a still staged: the resync re-ships a's VERIFY.
+  (void)pair.primary->Apply(b);
+  ASSERT_TRUE(pair.follower->WaitForSeq(2, 5000));
+  EXPECT_EQ(HashOf(pair.follower_harness), HashOf(pair.primary_harness));
+  EXPECT_GE(pair.follower->Core().Resyncs(), 1u);
+  EXPECT_TRUE(PollFor(2000, [&] { return pair.primary->Watermark() >= 2; }));
+}
+
+TEST(ReplLink, DuplicatedVerifyIsReAcked) {
+  const Instance instance = MakeInstance(50);
+  ReplPair pair(instance);
+  ASSERT_TRUE(pair.primary->WaitForFollowers(1, 5000));
+
+  fail::Arm("repl.link.dup", fail::Action::kError, /*countdown=*/2);  // the VERIFY
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  EXPECT_TRUE(pair.primary->Apply(a));
+  ASSERT_TRUE(pair.follower->WaitForSeq(1, 5000));
+  EXPECT_TRUE(PollFor(2000, [&] {
+    return pair.follower->Core().Duplicates() >= 1;
+  }));
+  EXPECT_EQ(pair.follower->Core().Applied(), 1u);
+  EXPECT_EQ(pair.follower_harness.LastDurableSeq(), 1u);
+  EXPECT_EQ(HashOf(pair.follower_harness), HashOf(pair.primary_harness));
+}
+
+// The reorder fault parks a's VERIFY until b's RECORD has gone out: the
+// follower sees a RECORD while a is staged, resyncs, and converges.
+TEST(ReplLink, ReorderedVerifyAndNextRecordConverge) {
+  const Instance instance = MakeInstance(51);
+  ReplPair pair(instance, /*ack_wait_ms=*/100);
+  ASSERT_TRUE(pair.primary->WaitForFollowers(1, 5000));
+  const std::uint64_t publishes = pair.follower_harness.Publishes();
+
+  fail::Arm("repl.link.reorder", fail::Action::kError, /*countdown=*/2);  // a's VERIFY
+  const std::vector<UpdateEvent> a{UpdateEvent::DemandDelta(31, 2)};
+  const std::vector<UpdateEvent> b{UpdateEvent::DemandDelta(32, 1)};
+  EXPECT_FALSE(pair.primary->Apply(a));  // a's VERIFY is parked
+  ASSERT_TRUE(PollFor(5000, [&] { return pair.follower->Core().Staged() >= 1; }));
+  EXPECT_EQ(pair.follower_harness.Publishes(), publishes);
+  (void)pair.primary->Apply(b);  // b's RECORD, then a's VERIFY
+  ASSERT_TRUE(pair.follower->WaitForSeq(2, 5000));
+  EXPECT_EQ(HashOf(pair.follower_harness), HashOf(pair.primary_harness));
+  EXPECT_GE(pair.follower->Core().Resyncs(), 1u);
 }
 
 // --- failover oracle matrix ----------------------------------------------
@@ -463,9 +816,14 @@ TEST(PartitionFailover, OracleMatrixAcrossFaultsPositionsAndRestarts) {
   ASSERT_GE(trace.size(), 6u);
 
   const sim::PartitionFault kFaults[] = {sim::PartitionFault::kPartition,
-                                         sim::PartitionFault::kPrimaryStop};
-  const std::uint64_t positions[] = {1, trace.size() / 2, trace.size()};
+                                         sim::PartitionFault::kPrimaryStop,
+                                         sim::PartitionFault::kPrimaryStopBeforeVerify};
   for (const sim::PartitionFault fault : kFaults) {
+    // A stop between RECORD and VERIFY needs a batch after the fault, and
+    // leaves that batch staged — committed — on the follower.
+    const bool before_verify = fault == sim::PartitionFault::kPrimaryStopBeforeVerify;
+    const std::uint64_t last = before_verify ? trace.size() - 1 : trace.size();
+    const std::uint64_t positions[] = {1, trace.size() / 2, last};
     for (const std::uint64_t at : positions) {
       for (const bool restart : {false, true}) {
         const TempDir primary_dir;
@@ -483,7 +841,7 @@ TEST(PartitionFailover, OracleMatrixAcrossFaultsPositionsAndRestarts) {
             "fault=" + std::to_string(static_cast<int>(fault)) +
             " at=" + std::to_string(at) + " restart=" + std::to_string(restart);
         EXPECT_EQ(result.watermark, at) << label;
-        EXPECT_EQ(result.follower_seq, at) << label;
+        EXPECT_EQ(result.follower_seq, before_verify ? at + 1 : at) << label;
         EXPECT_GE(result.promoted_epoch, 2u) << label;
         EXPECT_TRUE(result.watermark_state_matches)
             << label << ": follower at seq " << result.follower_seq
