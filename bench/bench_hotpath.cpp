@@ -8,17 +8,15 @@
 // the other batch binaries, the JSON here deliberately contains wall-clock
 // numbers, so it is NOT byte-identical across runs; the deterministic part
 // (costs, feasibility, metric columns) still is — write it separately with
-// --det-json for the CI thread-count-invariance diff.
+// --det-json to diff two runs or two commits.
 //
-// Intra-instance parallelism: cells run one at a time (a single batch
-// worker), and --threads sets the *solver pool* width instead, for any
-// kernel that forks on it (none does today: TreeBuilder::Build and the
-// Multiple-NoD DP measured faster serial). --thread-sweep "1,2,4,8"
-// repeats the whole kernel grid per width and emits per-kernel speedup
-// columns (vs the first width) into the JSON's "thread_sweep" section.
+// Cells run one at a time on a single batch worker, so each cell's wall
+// time is one serial solve with the machine to itself. An untimed
+// one-seed warm-up grid runs first, so the first timed cells are not
+// charged for cold allocator and page state.
 //
 // Kernels (the N=1048576 "million-node" tier is the same workload at
-// --big-clients; tree-build there is the headline parallel kernel):
+// --big-clients):
 //   tree-build         TreeBuilder::Build on a rebuilt copy of the instance
 //                      tree (--build-reps builds per cell; timing/metric
 //                      only, so no feasibility/cost columns)
@@ -42,7 +40,6 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,7 +55,6 @@
 #include "serve/placement_snapshot.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -201,26 +197,10 @@ struct Kernel {
   Distance dmax = kNoDistanceLimit;
 };
 
-std::vector<std::size_t> ParseThreadList(const std::string& list) {
-  std::vector<std::size_t> threads;
-  std::stringstream ss(list);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    RPT_REQUIRE(!token.empty() && token.find_first_not_of("0123456789") == std::string::npos,
-                "bench_hotpath: --thread-sweep must be a comma list of counts, got: " + list);
-    threads.push_back(static_cast<std::size_t>(std::stoull(token)));
-    RPT_REQUIRE(threads.back() >= 1, "bench_hotpath: --thread-sweep counts must be >= 1");
-  }
-  RPT_REQUIRE(!threads.empty(), "bench_hotpath: --thread-sweep list is empty");
-  return threads;
-}
-
-// One full kernel grid at the given solver-pool width. Cells run on a
-// single batch worker so per-cell wall time measures one instance
-// saturating `solver_threads` threads, not cells competing for cores.
-runner::BatchReport RunGrid(const std::vector<Kernel>& kernels, std::size_t solver_threads,
-                            std::uint64_t base_seed, std::size_t seeds) {
-  SetSolverThreads(solver_threads);
+// One full kernel grid. Cells run on a single batch worker so per-cell
+// wall time measures one instance, not cells competing for cores.
+runner::BatchReport RunGrid(const std::vector<Kernel>& kernels, std::uint64_t base_seed,
+                            std::size_t seeds) {
   runner::BatchRunner batch(runner::BatchOptions{/*threads=*/1});
   for (const Kernel& kernel : kernels) {
     batch.AddSweep(GroupName(kernel.name, kernel.clients),
@@ -236,7 +216,7 @@ int main(int argc, char** argv) {
   using namespace rpt;
   Cli cli("bench_hotpath",
           "per-kernel wall-time baseline for the hot solver paths (perf trajectory)");
-  AddBatchFlags(cli, /*default_seeds=*/3);
+  AddSeedsFlag(cli, /*default_seeds=*/3);
   cli.AddInt("clients", 65536, "client count for the near-linear kernels");
   cli.AddInt("big-clients", 1048576,
              "client count for the million-node tier (tree-build/single-nod/multiple-bin; "
@@ -247,16 +227,13 @@ int main(int argc, char** argv) {
   cli.AddInt("build-reps", 10, "tree rebuilds per tree-build cell");
   cli.AddInt("big-build-reps", 3, "tree rebuilds per million-node tree-build cell");
   cli.AddInt("base-seed", 1205, "base seed; per-cell seeds derive deterministically");
-  cli.AddString("thread-sweep", "",
-                "comma list of solver thread counts (e.g. 1,2,4,8); runs the grid per "
-                "count and reports per-kernel speedups vs the first");
   cli.AddString("json", "", "write the report incl. timing stats here (BENCH_hotpath.json)");
   cli.AddString("det-json", "",
                 "write the deterministic report (no timing) here; byte-identical across "
-                "runs and --threads values");
+                "runs");
   cli.AddString("csv", "", "optional CSV output path (incl. timing)");
   if (!cli.Parse(argc, argv)) return 0;
-  const BatchFlags flags = GetBatchFlags(cli);
+  const std::size_t seeds = GetSeedsFlag(cli);
   const auto clients = static_cast<std::uint32_t>(cli.GetUint("clients", 1u << 26));
   const auto big_clients = static_cast<std::uint32_t>(cli.GetUint("big-clients", 1u << 26));
   const auto dp_clients = static_cast<std::uint32_t>(cli.GetUint("dp-clients", 1u << 18));
@@ -302,9 +279,9 @@ int main(int argc, char** argv) {
                      /*metric_only=*/true, /*dmax=*/12});
   kernels.push_back({"serve-publish", clients, SolvePublishTrace, {}});
   if (big_clients != 0) {
-    // Million-node tier: the parallel-build headline plus two full solvers
-    // proving million-node instances run end-to-end. The DP runs at
-    // --dp-clients and --clients only.
+    // Million-node tier: the tree build plus two full solvers proving
+    // million-node instances run end-to-end. The DP runs at --dp-clients
+    // and --clients only.
     kernels.push_back({"tree-build", big_clients,
                        [big_build_reps](const Instance& instance) {
                          return SolveTreeBuild(instance, big_build_reps);
@@ -317,34 +294,13 @@ int main(int argc, char** argv) {
         {"multiple-bin", big_clients, runner::SolveWith(core::Algorithm::kMultipleBin), {}});
   }
 
-  const std::string sweep_list = cli.GetString("thread-sweep");
-  std::vector<std::size_t> thread_counts;
-  if (sweep_list.empty()) {
-    thread_counts.push_back(flags.threads);  // 0 = hardware concurrency
-  } else {
-    thread_counts = ParseThreadList(sweep_list);
-  }
+  std::cout << "hot-path kernel sweep: " << kernels.size() << " kernels x " << seeds
+            << " seeds (cells run sequentially, each solver serial)\n\n";
 
-  std::cout << "hot-path kernel sweep: " << kernels.size() << " kernels x " << flags.seeds
-            << " seeds, solver threads ";
-  if (sweep_list.empty()) {
-    std::cout << (flags.threads == 0 ? std::string("hw") : std::to_string(flags.threads));
-  } else {
-    std::cout << sweep_list;
-  }
-  std::cout << " (cells run sequentially; --threads feeds the intra-solver pool)\n\n";
-
-  std::vector<runner::BatchReport> reports;
-  reports.reserve(thread_counts.size());
-  if (thread_counts.size() > 1) {
-    // Untimed warm-up grid (one seed): pre-faults allocator/page state so the
-    // first timed width is not penalized for being the cold run.
-    (void)RunGrid(kernels, thread_counts.front(), base_seed, /*seeds=*/1);
-  }
-  for (const std::size_t t : thread_counts) {
-    reports.push_back(RunGrid(kernels, t, base_seed, flags.seeds));
-  }
-  const runner::BatchReport& report = reports.front();
+  // Untimed warm-up grid (one seed): pre-faults allocator/page state so the
+  // timed grid is not penalized for being the cold run.
+  (void)RunGrid(kernels, base_seed, /*seeds=*/1);
+  const runner::BatchReport report = RunGrid(kernels, base_seed, seeds);
   report.PrintAscii(std::cout);
 
   Table table({"kernel", "N", "cells", "mean ms", "min ms", "max ms"});
@@ -359,57 +315,11 @@ int main(int argc, char** argv) {
         .Add(group->elapsed_ms.Min(), 2)
         .Add(group->elapsed_ms.Max(), 2);
   }
-  std::cout << "\nper-kernel wall time (" << thread_counts.front()
-            << (thread_counts.front() == 0 ? " = hw" : "") << " solver threads):\n\n";
+  std::cout << "\nper-kernel wall time:\n\n";
   table.PrintAscii(std::cout);
 
-  // Thread sweep: per-kernel mean wall time per width and speedup vs the
-  // first width, as an ASCII table and a "thread_sweep" JSON section.
-  std::string extra_json;
-  if (thread_counts.size() > 1) {
-    std::vector<std::string> headers{"kernel"};
-    for (const std::size_t t : thread_counts) {
-      headers.push_back("ms @" + std::to_string(t) + "t");
-      headers.push_back("x @" + std::to_string(t) + "t");
-    }
-    Table sweep_table(std::move(headers));
-    std::ostringstream js;
-    js << "\"thread_sweep\":{\"threads\":[";
-    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-      js << (i == 0 ? "" : ",") << thread_counts[i];
-    }
-    js << "],\"kernels\":[";
-    bool first_kernel = true;
-    for (const Kernel& kernel : kernels) {
-      const std::string group_name = GroupName(kernel.name, kernel.clients);
-      Table& row = sweep_table.NewRow().Add(group_name);
-      std::vector<double> means;
-      for (const runner::BatchReport& r : reports) {
-        const runner::GroupReport* group = r.FindGroup(group_name);
-        RPT_CHECK(group != nullptr);
-        means.push_back(group->elapsed_ms.Mean());
-      }
-      js << (first_kernel ? "" : ",") << "{\"group\":\"" << group_name << "\",\"mean_ms\":[";
-      first_kernel = false;
-      for (std::size_t i = 0; i < means.size(); ++i) {
-        js << (i == 0 ? "" : ",") << FormatCompactDouble(means[i]);
-      }
-      js << "],\"speedup\":[";
-      for (std::size_t i = 0; i < means.size(); ++i) {
-        const double speedup = means[i] > 0.0 ? means.front() / means[i] : 0.0;
-        js << (i == 0 ? "" : ",") << FormatCompactDouble(speedup);
-        row.Add(means[i], 2).Add(speedup, 2);
-      }
-      js << "]}";
-    }
-    js << "]}";
-    extra_json = js.str();
-    std::cout << "\nthread scaling (speedup vs " << thread_counts.front() << " threads):\n\n";
-    sweep_table.PrintAscii(std::cout);
-  }
-
   if (const std::string json = cli.GetString("json"); !json.empty()) {
-    report.WriteJsonFile(json, /*include_timing=*/true, extra_json);
+    report.WriteJsonFile(json, /*include_timing=*/true);
     std::cout << "wrote timing report to " << json << "\n";
   }
   if (const std::string det_json = cli.GetString("det-json"); !det_json.empty()) {
@@ -422,8 +332,5 @@ int main(int argc, char** argv) {
     report.WriteCsv(os, /*include_timing=*/true);
     std::cout << "wrote timing CSV to " << csv << "\n";
   }
-  for (const runner::BatchReport& r : reports) {
-    if (!r.AllOk()) return 1;
-  }
-  return 0;
+  return report.AllOk() ? 0 : 1;
 }

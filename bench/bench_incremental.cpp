@@ -12,12 +12,11 @@
 // scripts/merge_bench_json.py), so the per-group means are gated by
 // scripts/bench_compare.py like every other hot-path kernel.
 //
-// Like bench_hotpath, cells run on a single batch worker and --threads sets
-// the *solver pool* width, which no re-solve uses: the dirty chains of one
-// re-solve recompute serially. The --json report embeds wall time and is machine-dependent;
-// the deterministic half (costs, resolves, recompute/reuse counters) goes
-// to --det-json, which CI byte-diffs across --threads values — that diff is
-// the CI gate proving incremental solutions are thread-count invariant.
+// Like bench_hotpath, cells run one at a time on a single batch worker, and
+// each re-solve recomputes its dirty chains serially. The --json report
+// embeds wall time and is machine-dependent; the deterministic half (costs,
+// resolves, recompute/reuse counters) goes to --det-json, which
+// scripts/bench_smoke.sh byte-diffs across two runs.
 //
 //   ./bench_incremental --clients=8192 --ticks=24 --fractions=0.0002,0.001,0.01,0.05
 #include <cmath>
@@ -35,7 +34,6 @@
 #include "runner/batch_runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -75,7 +73,7 @@ int main(int argc, char** argv) {
   using namespace rpt;
   Cli cli("bench_incremental",
           "incremental vs full re-solve on streaming demand updates (event sweep)");
-  AddBatchFlags(cli, /*default_seeds=*/3);
+  AddSeedsFlag(cli, /*default_seeds=*/3);
   cli.AddInt("clients", 8192, "client count of the binary NoD workload");
   cli.AddInt("capacity", 40, "server capacity W");
   cli.AddInt("ticks", 48, "update batches per cell");
@@ -87,10 +85,10 @@ int main(int argc, char** argv) {
                             "BENCH_hotpath.json by scripts/bench_perf.sh)");
   cli.AddString("det-json", "",
                 "write the deterministic report (no timing) here; byte-identical across "
-                "runs and --threads values");
+                "runs");
   cli.AddString("csv", "", "optional CSV output path (incl. timing)");
   if (!cli.Parse(argc, argv)) return 0;
-  const BatchFlags flags = GetBatchFlags(cli);
+  const std::size_t seeds = GetSeedsFlag(cli);
   const auto clients = static_cast<std::uint32_t>(cli.GetUint("clients", 1u << 24));
   const auto capacity = static_cast<Requests>(cli.GetUint("capacity"));
   const std::uint64_t ticks = cli.GetUint("ticks");
@@ -99,11 +97,6 @@ int main(int argc, char** argv) {
   RPT_REQUIRE(clients >= 2, "bench_incremental: --clients must be >= 2");
   RPT_REQUIRE(capacity > 0 && ticks > 0, "bench_incremental: --capacity/--ticks must be > 0");
   const std::vector<double> fractions = ParseFractionList(cli.GetString("fractions"));
-
-  // --threads sizes the solver pool, which the serial dirty-chain recompute
-  // does not use; cells run sequentially on one batch worker, as in
-  // bench_hotpath.
-  SetSolverThreads(flags.threads);
 
   const auto make_instance = [clients, capacity](std::uint64_t seed) {
     gen::BinaryTreeConfig cfg;
@@ -148,12 +141,12 @@ int main(int argc, char** argv) {
 
   std::printf("incremental event sweep: N=%u clients, W=%llu, %llu ticks/cell, %zu seeds\n\n",
               clients, static_cast<unsigned long long>(capacity),
-              static_cast<unsigned long long>(ticks), flags.seeds);
+              static_cast<unsigned long long>(ticks), seeds);
 
   runner::BatchRunner batch(runner::BatchOptions{/*threads=*/1});
   for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
     for (const EngineCase& engine_case : engines) {
-      for (std::size_t i = 0; i < flags.seeds; ++i) {
+      for (std::size_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = runner::DeriveSeed(base_seed, i);
         // Both engines of a fraction replay the identical (instance, trace)
         // pair, so their deterministic columns must agree entry for entry.

@@ -25,8 +25,8 @@
 //    its promotion is durable is reported as failover_ms.
 //
 // Determinism: the BatchRunner groups and every det-json byte are identical
-// at any --threads value (cells run on one batch worker, the solver pool is
-// pinned to one thread); only the serve_qps section and wall times vary.
+// at any --threads value (cells run on one batch worker, each solve
+// serial); only the serve_qps section and wall times vary.
 // scripts/bench_smoke.sh byte-diffs the det-json across thread counts.
 //
 //   ./bench_serve --clients=4096 --ticks=64 --qps-ticks=64 --threads=4
@@ -53,7 +53,6 @@
 #include "serve/serve_harness.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -233,10 +232,9 @@ int main(int argc, char** argv) {
               "bench_serve: --capacity/--ticks/--repeats/--touches must be > 0");
 
   // --threads is the QUERY thread count of the concurrent phase; the
-  // deterministic cells always run one batch worker and a width-1 solver
-  // pool so the det-json is thread-count invariant by construction.
+  // deterministic cells always run on one batch worker, so the det-json is
+  // thread-count invariant by construction.
   const std::size_t query_threads = std::max<std::size_t>(1, flags.threads);
-  SetSolverThreads(1);
 
   const auto make_instance = [clients, capacity](std::uint64_t seed) {
     gen::BinaryTreeConfig cfg;

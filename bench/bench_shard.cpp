@@ -42,7 +42,6 @@
 #include "shard/worker.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "tree/serialize.hpp"
 

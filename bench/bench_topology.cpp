@@ -14,9 +14,10 @@
 //
 // The deterministic half (--det-json) carries costs, validation, and the
 // post-run Compact() columns — every cell validates its placement against
-// the *compacted* world (MaterializeCompact + id remap), so the byte-diff
-// across --threads values in scripts/bench_smoke.sh proves both the overlay
-// solve and the compaction fold are thread-count invariant.
+// the *compacted* world (MaterializeCompact + id remap). Cells run one at
+// a time on a single batch worker, each solve serial; the byte-diff of two
+// runs in scripts/bench_smoke.sh proves the overlay solve and the
+// compaction fold are deterministic.
 //
 // The streaming claim this bench defends: at low churn (<= 1% of clients
 // touched per tick) the incremental engine must beat the full rebuild by at
@@ -38,7 +39,6 @@
 #include "runner/batch_runner.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   using namespace rpt;
   Cli cli("bench_topology",
           "incremental vs full rebuild+resolve on streaming topology churn (event sweep)");
-  AddBatchFlags(cli, /*default_seeds=*/3);
+  AddSeedsFlag(cli, /*default_seeds=*/3);
   cli.AddInt("clients", 4096, "client count of the binary NoD workload");
   cli.AddInt("capacity", 40, "server capacity W");
   cli.AddInt("ticks", 32, "update batches per cell");
@@ -101,10 +101,10 @@ int main(int argc, char** argv) {
                             "BENCH_hotpath.json by scripts/bench_perf.sh)");
   cli.AddString("det-json", "",
                 "write the deterministic report (no timing) here; byte-identical across "
-                "runs and --threads values");
+                "runs");
   cli.AddString("csv", "", "optional CSV output path (incl. timing)");
   if (!cli.Parse(argc, argv)) return 0;
-  const BatchFlags flags = GetBatchFlags(cli);
+  const std::size_t seeds = GetSeedsFlag(cli);
   const auto clients = static_cast<std::uint32_t>(cli.GetUint("clients", 1u << 24));
   const auto capacity = static_cast<Requests>(cli.GetUint("capacity"));
   const std::uint64_t ticks = cli.GetUint("ticks");
@@ -116,8 +116,6 @@ int main(int argc, char** argv) {
   RPT_REQUIRE(min_speedup >= 0.0 && std::isfinite(min_speedup),
               "bench_topology: --min-speedup must be finite and >= 0");
   const std::vector<double> fractions = ParseFractionList(cli.GetString("churn"));
-
-  SetSolverThreads(flags.threads);
 
   const auto make_instance = [clients, capacity](std::uint64_t seed) {
     gen::BinaryTreeConfig cfg;
@@ -159,12 +157,12 @@ int main(int argc, char** argv) {
 
   std::printf("topology churn sweep: N=%u clients, W=%llu, %llu ticks/cell, %zu seeds\n\n",
               clients, static_cast<unsigned long long>(capacity),
-              static_cast<unsigned long long>(ticks), flags.seeds);
+              static_cast<unsigned long long>(ticks), seeds);
 
   runner::BatchRunner batch(runner::BatchOptions{/*threads=*/1});
   for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
     for (const EngineCase& engine_case : engines) {
-      for (std::size_t i = 0; i < flags.seeds; ++i) {
+      for (std::size_t i = 0; i < seeds; ++i) {
         const std::uint64_t seed = runner::DeriveSeed(base_seed, i);
         auto cell_state = std::make_shared<CellState>();
         const auto solve = [ticks, max_demand, touch = touches[fi], seed,

@@ -18,7 +18,7 @@
 //   ./examples/rpt_shard --mode=subprocess --crash-at-cut=1 --max-attempts=2
 //       # kill shard 0's worker mid-solve (exit 137), watch the re-dispatch
 //   ./examples/rpt_shard --det-json=out.json      # deterministic fingerprint:
-//       # identical bytes at any --shards / --threads / --mode
+//       # identical bytes at any --shards / --mode
 #include <cstdio>
 #include <string>
 
@@ -27,7 +27,6 @@
 #include "shard/coordinator.hpp"
 #include "shard/worker.hpp"
 #include "support/cli.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
   cli.AddInt("shards", 4, "shard count k handed to the planner");
   cli.AddInt("imbalance-pct", 25, "planner max imbalance in percent");
   cli.AddInt("max-attempts", 1, "dispatch attempts per shard before giving up");
-  cli.AddInt("threads", 1, "solver-pool width (coordinator and workers)");
   cli.AddString("mode", "inprocess", "dispatch mode: inprocess | subprocess");
   cli.AddString("work-dir", "/tmp/rpt-shard-demo", "subprocess file-exchange directory");
   cli.AddInt("crash-at-cut", 0,
@@ -76,9 +74,6 @@ int main(int argc, char** argv) {
   cli.AddBool("verify", false, "also run the unsharded solve and require byte-equality");
   cli.AddString("det-json", "", "write the deterministic solve fingerprint here");
   if (!cli.Parse(argc, argv)) return 0;
-
-  const auto threads = static_cast<std::size_t>(cli.GetUint("threads", 1024));
-  SetSolverThreads(threads);
 
   gen::RandomTreeConfig config;
   config.internal_nodes = static_cast<std::uint32_t>(cli.GetUint("internal", 1u << 24));
@@ -93,7 +88,6 @@ int main(int argc, char** argv) {
   options.shards = static_cast<std::uint32_t>(cli.GetUint("shards", 4096));
   options.max_imbalance = static_cast<double>(cli.GetUint("imbalance-pct", 10000)) / 100.0;
   options.max_attempts = static_cast<std::uint32_t>(cli.GetUint("max-attempts", 64));
-  options.worker_threads = static_cast<std::uint32_t>(threads);
   const std::string mode = cli.GetString("mode");
   if (mode == "subprocess") {
     options.dispatch = shard::ShardOptions::Dispatch::kSubprocess;

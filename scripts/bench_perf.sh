@@ -1,27 +1,22 @@
 #!/usr/bin/env bash
-# Perf trajectory tracking: runs the hot-path kernel bench across the solver
-# thread ladder, the incremental-engine event sweep, the mutable-topology
-# churn sweep, the serve-layer publish/query bench, and the sharded forest
-# solve in Release, and writes one combined BENCH_hotpath.json (aggregate
-# report *including* wall time statistics, the per-kernel thread_sweep
-# speedup section, the incremental_sweep and topology_sweep churn/speedup
-# sections, the serve_qps snapshot-swap section, and the shard_forest
-# per-worker RSS section). The report is stamped with an
-# "env" section (hw_threads) so the scaling half of the regression gate in
-# scripts/bench_compare.py knows what kind of machine recorded the baseline.
-# CI uploads the JSON as a workflow artifact so every commit leaves a
-# per-kernel timing trail, and diffs it against the committed baseline.
+# Perf trajectory tracking: runs the hot-path kernel bench, the
+# incremental-engine event sweep, the mutable-topology churn sweep, the
+# serve-layer publish/query bench, and the sharded forest solve in Release,
+# and writes one combined BENCH_hotpath.json (aggregate report *including*
+# wall time statistics, the incremental_sweep and topology_sweep
+# churn/speedup sections, the serve_qps snapshot-swap section, and the
+# shard_forest per-worker RSS section). The report is stamped with an "env"
+# section (hw_threads) saying what kind of machine recorded it. CI uploads
+# the JSON as a workflow artifact so every commit leaves a per-kernel timing
+# trail, and diffs it against the committed baseline.
 #
-# Usage: scripts/bench_perf.sh [build-dir] [output-json] [thread-sweep]
+# Usage: scripts/bench_perf.sh [build-dir] [output-json]
 #   build-dir     default: build
 #   output-json   default: BENCH_hotpath.json
-#   thread-sweep  default: 1,2,4,8 (first entry is the speedup baseline and
-#                 the source of the report's headline timing columns)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_JSON="${2:-BENCH_hotpath.json}"
-THREAD_SWEEP="${3:-1,2,4,8}"
 
 for bench in bench_hotpath bench_incremental bench_topology bench_serve bench_shard; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then
@@ -33,12 +28,11 @@ done
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
-SERVE_THREADS="${THREAD_SWEEP##*,}"
-
-"$BUILD_DIR/bench_hotpath" --thread-sweep "$THREAD_SWEEP" --json "$TMP_DIR/hotpath.json"
+"$BUILD_DIR/bench_hotpath" --json "$TMP_DIR/hotpath.json"
 "$BUILD_DIR/bench_incremental" --json "$TMP_DIR/incremental.json"
 "$BUILD_DIR/bench_topology" --json "$TMP_DIR/topology.json"
-"$BUILD_DIR/bench_serve" --threads "$SERVE_THREADS" --json "$TMP_DIR/serve.json"
+# Eight query threads, as every serve_qps row so far was recorded.
+"$BUILD_DIR/bench_serve" --threads 8 --json "$TMP_DIR/serve.json"
 # bench_shard contributes the shard-oracle comparison group plus the
 # "shard_forest" per-worker RSS section (real subprocess workers via wait4).
 "$BUILD_DIR/bench_shard" --seeds=2 --work-dir="$TMP_DIR/shard-work" \

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Batch-engine determinism smoke: runs every BatchRunner-backed bench and
-# example with a tiny sweep at --threads 1 and --threads 4 and fails when the
-# deterministic JSON reports are not byte-identical. Also fails when any
-# binary exits non-zero (their exit codes gate on BatchReport::AllOk()).
+# example with a tiny sweep at --threads 1 and --threads 4 (batch workers)
+# and fails when the deterministic JSON reports are not byte-identical. The
+# benches whose cells run on one batch worker instead diff two runs of the
+# same command. Also fails when any binary exits non-zero (their exit codes
+# gate on BatchReport::AllOk()).
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -38,15 +40,15 @@ run_pair cdn_vod --seeds=2 --clients=40
 run_pair isp_qos --seeds=2 --clients=40
 run_pair surge_replay --seeds=2 --clients=32 --ticks=60
 
-# bench_incremental's --json embeds wall time (like bench_hotpath), so the
-# thread-invariance diff runs on its deterministic --det-json report: the
-# incremental engine must plan byte-identically at any solver-pool width.
-"$BUILD_DIR/bench_incremental" --clients=256 --ticks=12 --seeds=2 --threads=1 \
-  --fractions=0.01,0.05 --det-json="$OUT_DIR/bench_incremental-t1.json" > /dev/null
-"$BUILD_DIR/bench_incremental" --clients=256 --ticks=12 --seeds=2 --threads=4 \
-  --fractions=0.01,0.05 --det-json="$OUT_DIR/bench_incremental-t4.json" > /dev/null
-if ! diff "$OUT_DIR/bench_incremental-t1.json" "$OUT_DIR/bench_incremental-t4.json"; then
-  echo "FAIL: bench_incremental det-json differs between --threads 1 and --threads 4"
+# bench_incremental's --json embeds wall time (like bench_hotpath), and its
+# cells run on one batch worker, so the determinism diff runs on two runs of
+# its --det-json report: the incremental engine must plan byte-identically.
+"$BUILD_DIR/bench_incremental" --clients=256 --ticks=12 --seeds=2 \
+  --fractions=0.01,0.05 --det-json="$OUT_DIR/bench_incremental-a.json" > /dev/null
+"$BUILD_DIR/bench_incremental" --clients=256 --ticks=12 --seeds=2 \
+  --fractions=0.01,0.05 --det-json="$OUT_DIR/bench_incremental-b.json" > /dev/null
+if ! diff "$OUT_DIR/bench_incremental-a.json" "$OUT_DIR/bench_incremental-b.json"; then
+  echo "FAIL: bench_incremental det-json differs between two runs"
   exit 1
 fi
 echo "OK: bench_incremental"
@@ -54,14 +56,14 @@ echo "OK: bench_incremental"
 # bench_topology streams mixed attach/detach/migrate/link traces through the
 # delta-overlay; its deterministic report covers the costs, the validation
 # against the COMPACTED world, and the Compact() output columns — all of
-# which must be byte-identical at any solver-pool width. The speedup gate is
+# which must be byte-identical between two runs. The speedup gate is
 # disabled here (tiny workload, smoke only).
-"$BUILD_DIR/bench_topology" --clients=256 --ticks=10 --seeds=2 --threads=1 \
-  --churn=0.01,0.05 --min-speedup=0 --det-json="$OUT_DIR/bench_topology-t1.json" > /dev/null
-"$BUILD_DIR/bench_topology" --clients=256 --ticks=10 --seeds=2 --threads=4 \
-  --churn=0.01,0.05 --min-speedup=0 --det-json="$OUT_DIR/bench_topology-t4.json" > /dev/null
-if ! diff "$OUT_DIR/bench_topology-t1.json" "$OUT_DIR/bench_topology-t4.json"; then
-  echo "FAIL: bench_topology det-json differs between --threads 1 and --threads 4"
+"$BUILD_DIR/bench_topology" --clients=256 --ticks=10 --seeds=2 \
+  --churn=0.01,0.05 --min-speedup=0 --det-json="$OUT_DIR/bench_topology-a.json" > /dev/null
+"$BUILD_DIR/bench_topology" --clients=256 --ticks=10 --seeds=2 \
+  --churn=0.01,0.05 --min-speedup=0 --det-json="$OUT_DIR/bench_topology-b.json" > /dev/null
+if ! diff "$OUT_DIR/bench_topology-a.json" "$OUT_DIR/bench_topology-b.json"; then
+  echo "FAIL: bench_topology det-json differs between two runs"
   exit 1
 fi
 echo "OK: bench_topology"
@@ -168,4 +170,4 @@ if ! diff "$OUT_DIR/explorer-t1.json" "$OUT_DIR/explorer-t4.json"; then
 fi
 echo "OK: instance_explorer"
 
-echo "all batch reports byte-identical across thread counts"
+echo "all batch reports byte-identical across thread counts and runs"

@@ -29,9 +29,9 @@
 //    current state: construct a second solver with Engine::kFullResolve
 //    (which compacts the overlay through TreeBuilder::Build and maps the
 //    solution back to view ids) and compare. Enforced by
-//    tests/test_incremental.cpp at solver-pool widths 1 and 4.
+//    tests/test_incremental.cpp.
 //  * Determinism — solutions and all stats except wall time are identical
-//    at any thread count (the engine's sweeps are deterministic).
+//    from run to run (the engine's sweeps are serial and deterministic).
 //  * Atomicity — Apply() validates the whole batch against the current
 //    state before committing anything; on InvalidArgument the solver state
 //    is unchanged.

@@ -18,7 +18,7 @@
 // cross-check multiple-bin on NoD binary instances at sizes the brute-force
 // solver cannot reach.
 // The forward pass is one serial post-order sweep: with linear merges a
-// level-parallel sweep on the solver pool measured no faster.
+// level-parallel sweep measured no faster.
 // The DP core itself (inverse-staircase tables, slope merges, budget split)
 // lives in multiple/nod_dp_engine.hpp — this header keeps the batch-solve
 // entry point; the incremental re-solver (src/incremental/) drives the same

@@ -15,7 +15,6 @@
 #include "support/common.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace rpt::runner {
 
@@ -443,22 +442,12 @@ BatchReport BatchRunner::Run() {
     };
 
     if (threads == 1) {
-      // Inline on the caller: cells may still use intra-solver parallelism
-      // (this is how bench_hotpath measures one instance saturating the
-      // solver pool).
-      worker_body(0);
+      worker_body(0);  // inline on the caller
     } else {
-      // Spawned workers mark themselves as engine workers so solvers inside
-      // cells run their fork-join loops inline — the batch workers already
-      // saturate the cores, and nesting onto the shared solver pool would
-      // only oversubscribe it.
       std::vector<std::jthread> workers;
       workers.reserve(threads);
       for (std::size_t w = 0; w < threads; ++w) {
-        workers.emplace_back([&worker_body, w] {
-          const ThreadPool::ScopedWorkerMark mark;
-          worker_body(w);
-        });
+        workers.emplace_back([&worker_body, w] { worker_body(w); });
       }
     }
   }

@@ -25,11 +25,11 @@
 //    the same tree", not just two independent sweeps.
 //
 // Ownership: the runner owns its cells and results; Run() owns the worker
-// threads for its duration (spawned per call, joined before it returns,
-// marked with ThreadPool::ScopedWorkerMark so intra-solver parallelism
-// inside cells degrades to inline instead of oversubscribing). Generators,
-// solvers, and metric hooks are std::functions owned by the cell — anything
-// they capture by reference must outlive Run().
+// threads for its duration (spawned per call, joined before it returns).
+// They are the only threads that run solvers concurrently: every solver is
+// serial on the thread that calls it. Generators, solvers, and metric hooks
+// are std::functions owned by the cell — anything they capture by
+// reference must outlive Run().
 //
 // Thread-safety: build the batch (Add/AddSweep/AddComparisonSweep) from one
 // thread, then call Run() once; cells execute concurrently, so hooks must
@@ -179,7 +179,7 @@ class BatchReport {
   /// output is bit-identical across runs and thread counts. All strings are
   /// JSON-escaped, so group/solver/metric names may contain any characters.
   /// `extra_json`, when non-empty, must be one or more complete top-level
-  /// members (e.g. "\"thread_sweep\":{...}", already escaped by the caller)
+  /// members (e.g. "\"serve_qps\":{...}", already escaped by the caller)
   /// and is spliced verbatim before the closing brace.
   void WriteJson(std::ostream& os, bool include_timing = false,
                  std::string_view extra_json = {}) const;

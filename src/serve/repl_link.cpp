@@ -11,6 +11,21 @@ namespace rpt::serve {
 
 namespace wire = support::wire;
 
+namespace {
+
+// Replication ships WAL records and counts in WAL seqs, so both ends need
+// a harness that logs. Checked at construction: a non-durable follower
+// would ack seq 2^64-1 after its first RECORD, and a non-durable primary
+// would publish locally and then fail to ship.
+ServeHarness& RequireDurable(ServeHarness& harness, const char* who) {
+  RPT_REQUIRE(harness.Durable(),
+              std::string(who) + ": the harness must be durable (constructed with "
+                                 "DurabilityOptions or by RecoverFrom)");
+  return harness;
+}
+
+}  // namespace
+
 std::string EncodeReplFrame(const ReplFrame& frame) {
   std::string out;
   wire::ByteWriter w(out);
@@ -95,6 +110,9 @@ bool FaultySender::Send(const std::string& payload) {
   }
   return st == net::IoStatus::kOk;
 }
+
+FollowerCore::FollowerCore(ServeHarness& harness)
+    : harness_(RequireDurable(harness, "FollowerCore")) {}
 
 FollowerCore::Outcome FollowerCore::OnRecord(std::uint64_t sender_epoch,
                                              const std::string& record_bytes) {
@@ -201,7 +219,7 @@ struct ReplPrimary::FollowerConn {
 };
 
 ReplPrimary::ReplPrimary(ServeHarness& harness, ReplPrimaryOptions options)
-    : harness_(harness), options_(options),
+    : harness_(RequireDurable(harness, "ReplPrimary")), options_(options),
       core_(std::make_unique<net::ConnectionCore>()) {}
 
 ReplPrimary::~ReplPrimary() { Stop(); }
@@ -394,8 +412,8 @@ bool ReplPrimary::WaitForFollowers(int count, int timeout_ms) {
 
 ReplFollower::ReplFollower(ServeHarness& harness, std::uint16_t primary_port,
                            ReplFollowerOptions options)
-    : harness_(harness), core_(harness), primary_port_(primary_port),
-      options_(options) {}
+    : harness_(RequireDurable(harness, "ReplFollower")), core_(harness),
+      primary_port_(primary_port), options_(options) {}
 
 ReplFollower::~ReplFollower() { Stop(); }
 

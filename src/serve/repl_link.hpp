@@ -198,7 +198,9 @@ class FaultySender {
 /// Link thread only (or whoever serializes with it).
 class FollowerCore {
  public:
-  explicit FollowerCore(ServeHarness& harness) : harness_(harness) {}
+  /// `harness` must be durable (its seq is the replication seq); throws
+  /// InvalidArgument otherwise.
+  explicit FollowerCore(ServeHarness& harness);
 
   enum class Outcome {
     kStaged,     ///< logged + applied + built; publish and ack wait for VERIFY
@@ -288,7 +290,7 @@ class ReplPrimary {
  public:
   /// `harness` must be durable (the follower replays OUR wal records; a
   /// primary that does not log has nothing to ship) and must outlive the
-  /// primary.
+  /// primary; throws InvalidArgument when it is not durable.
   explicit ReplPrimary(ServeHarness& harness, ReplPrimaryOptions options = {});
   ReplPrimary(const ReplPrimary&) = delete;
   ReplPrimary& operator=(const ReplPrimary&) = delete;
@@ -389,8 +391,9 @@ struct ReplFollowerOptions {
 /// for failover.
 class ReplFollower {
  public:
-  /// `harness` must be durable and must outlive the follower. Marks it as
-  /// a follower (query responses carry the follower bit) until promotion.
+  /// `harness` must be durable (throws InvalidArgument otherwise) and must
+  /// outlive the follower. Marks it as a follower (query responses carry
+  /// the follower bit) until promotion.
   ReplFollower(ServeHarness& harness, std::uint16_t primary_port,
                ReplFollowerOptions options = {});
   ReplFollower(const ReplFollower&) = delete;

@@ -230,6 +230,10 @@ class ServeHarness {
     return last_checkpoint_error_;
   }
 
+  /// True when constructed in durable mode (the durable constructor or
+  /// RecoverFrom): every batch is WAL-logged and consumes a seq.
+  [[nodiscard]] bool Durable() const noexcept { return !durability_.dir.empty(); }
+
   /// Last batch sequence number committed to the WAL (0 before the first
   /// append or in non-durable mode). Recovery resumes a trace at this
   /// index: everything up to and including it survived.

@@ -180,8 +180,7 @@ ShardedSolveResult SolveSharded(const Instance& instance, const ShardOptions& op
                                          kWorkerFlag,
                                          "--phase=" + std::string(phase),
                                          "--manifest=" + manifest_paths[shard],
-                                         "--out=" + out_path,
-                                         "--threads=" + std::to_string(options.worker_threads)};
+                                         "--out=" + out_path};
         if (!budget_paths.empty()) args.push_back("--budgets=" + budget_paths[shard]);
         if (options.crash_at_cut > 0 && shard == options.crash_shard && attempt == 1 &&
             std::string_view(phase) == "solve") {

@@ -16,8 +16,8 @@
 //            megatree ids, and the combined solution is canonicalized.
 //
 // The result is byte-identical — cost AND canonical solution — to
-// SolveMultipleNodDp on the same instance, at any shard count and any
-// solver-pool width (tests/test_shard.cpp pins the full oracle matrix).
+// SolveMultipleNodDp on the same instance, at any shard count
+// (tests/test_shard.cpp pins the full oracle matrix).
 //
 // Dispatch runs either in-process (each "worker" is a function call; the
 // mode of the oracle tests) or as subprocesses: the coordinator re-execs
@@ -70,7 +70,9 @@ struct ShardOptions {
   /// the coordinator's own argv[0]).
   std::string work_dir;
   std::string worker_argv0;
-  /// Subprocess mode: solver-pool width inside each worker.
+  /// Unread: workers always solve serially. Kept only because the repo
+  /// benchmark (perfbench/src/shard_workload.cpp) still sets it; it goes
+  /// when src/shard/ is retired.
   std::uint32_t worker_threads = 1;
 
   /// Subprocess fault injection (bench_smoke's worker-kill leg): when > 0,
@@ -109,10 +111,10 @@ struct ShardedSolveResult {
 };
 
 /// Runs the sharded solve. Requires a NoD instance (no distance constraint).
-/// Deterministic in (instance, options) at any solver-pool width; byte-
-/// identical to SolveMultipleNodDp in cost and canonical solution. A tree
-/// with no cuttable subtree (e.g. a star) falls back to the local unsharded
-/// solve with stats.shard_count == 0.
+/// Deterministic in (instance, options); byte-identical to
+/// SolveMultipleNodDp in cost and canonical solution. A tree with no
+/// cuttable subtree (e.g. a star) falls back to the local unsharded solve
+/// with stats.shard_count == 0.
 [[nodiscard]] ShardedSolveResult SolveSharded(const Instance& instance,
                                               const ShardOptions& options);
 

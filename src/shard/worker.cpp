@@ -9,7 +9,6 @@
 
 #include "support/cli.hpp"
 #include "support/failpoint.hpp"
-#include "support/thread_pool.hpp"
 #include "tree/serialize.hpp"
 
 namespace rpt::shard {
@@ -125,7 +124,6 @@ int ShardWorkerMain(int argc, const char* const* argv) {
     cli.AddString("budgets", "", "per-cut budgets path (extract phase)");
     cli.AddString("out", "", "output rpt-btab path");
     cli.AddInt("crash-at-cut", 0, "arm shard.worker.crash (real _Exit) before the Nth cut");
-    cli.AddInt("threads", 1, "solver-pool width inside this worker");
     // Shift past argv[1]: the sentinel is routing, not a flag.
     std::vector<const char*> args;
     args.push_back(argv[0]);
@@ -135,7 +133,6 @@ int ShardWorkerMain(int argc, const char* const* argv) {
     const std::string phase = cli.GetString("phase");
     const std::string out_path = cli.GetString("out");
     RPT_REQUIRE(!out_path.empty(), "shard worker: --out is required");
-    SetSolverThreads(static_cast<std::size_t>(cli.GetUint("threads", 1024)));
     const std::uint64_t crash_at = cli.GetUint("crash-at-cut");
     if (crash_at > 0) fail::Arm(kWorkerCrashPoint, fail::Action::kCrash, crash_at);
 

@@ -63,7 +63,6 @@ struct CutSolve {
 /// Subprocess entry point (argv[1] == kWorkerFlag). Flags:
 ///   --phase=solve|extract   --manifest=PATH  --out=PATH
 ///   --budgets=PATH (extract)  --crash-at-cut=N (arm kCrash before cut N)
-///   --threads=N (solver pool width)
 /// Returns 0 on success; prints the error and returns 1 otherwise.
 int ShardWorkerMain(int argc, const char* const* argv);
 

@@ -96,14 +96,22 @@ std::uint64_t Cli::GetUint(const std::string& name, std::uint64_t max_value) con
 
 void AddBatchFlags(Cli& cli, std::int64_t default_seeds) {
   cli.AddInt("threads", 0, "worker threads for the batch engine; 0 = hardware concurrency");
+  AddSeedsFlag(cli, default_seeds);
+}
+
+void AddSeedsFlag(Cli& cli, std::int64_t default_seeds) {
   cli.AddInt("seeds", default_seeds, "seeds (instances) per sweep configuration");
+}
+
+std::size_t GetSeedsFlag(const Cli& cli) {
+  const std::uint64_t seeds = cli.GetUint("seeds");
+  RPT_REQUIRE(seeds > 0, "Cli: --seeds must be > 0");
+  return static_cast<std::size_t>(seeds);
 }
 
 BatchFlags GetBatchFlags(const Cli& cli) {
   const std::uint64_t threads = cli.GetUint("threads");
-  const std::uint64_t seeds = cli.GetUint("seeds");
-  RPT_REQUIRE(seeds > 0, "Cli: --seeds must be > 0");
-  return BatchFlags{static_cast<std::size_t>(threads), static_cast<std::size_t>(seeds)};
+  return BatchFlags{static_cast<std::size_t>(threads), GetSeedsFlag(cli)};
 }
 
 void Cli::PrintHelp() const {

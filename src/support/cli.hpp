@@ -77,6 +77,12 @@ struct BatchFlags {
 /// Declares the standard --threads / --seeds flags on a Cli.
 void AddBatchFlags(Cli& cli, std::int64_t default_seeds = 50);
 
+/// Declares --seeds alone, for benches whose cells run on one batch worker.
+void AddSeedsFlag(Cli& cli, std::int64_t default_seeds);
+
+/// Reads --seeds; throws InvalidArgument unless it is positive.
+[[nodiscard]] std::size_t GetSeedsFlag(const Cli& cli);
+
 /// Reads the flags declared by AddBatchFlags; throws InvalidArgument when
 /// --threads is negative or --seeds is not positive.
 [[nodiscard]] BatchFlags GetBatchFlags(const Cli& cli);

@@ -95,7 +95,7 @@ namespace detail {
 /// Deterministic double formatting for JSON/CSV output ("%.9g"): enough
 /// digits to round-trip aggregate means, same string on every run with the
 /// same inputs. The one formatter behind BatchReport's JSON and any section
-/// spliced into it (e.g. bench_hotpath's thread_sweep), so the numbers in
+/// spliced into it (e.g. bench_serve's serve_qps), so the numbers in
 /// one file never mix float formats.
 [[nodiscard]] std::string FormatCompactDouble(double value);
 

@@ -6,7 +6,7 @@
 // state — checked against both SolveMultipleNodDp on the materialized
 // instance and a second IncrementalSolver running the kFullResolve oracle
 // engine, on paper-style shapes (chain/star/caterpillar/comb), random
-// general trees, and full binary trees, at solver-pool widths 1 and 4.
+// general trees, and full binary trees.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "multiple/multiple_nod_dp.hpp"
 #include "runner/batch_runner.hpp"
 #include "single/single_nod.hpp"
-#include "support/thread_pool.hpp"
 
 namespace rpt::incremental {
 namespace {
@@ -95,13 +94,7 @@ void ExpectMatchesOracle(const IncrementalSolver& solver, const std::string& con
   EXPECT_TRUE(validation.ok) << validation.Describe();
 }
 
-class IncrementalEquivalence : public ::testing::TestWithParam<std::size_t> {
- protected:
-  void SetUp() override { SetSolverThreads(GetParam()); }
-  void TearDown() override { SetSolverThreads(1); }
-};
-
-TEST_P(IncrementalEquivalence, RandomizedEventStreamsMatchOracleAfterEveryBatch) {
+TEST(IncrementalEquivalence, RandomizedEventStreamsMatchOracleAfterEveryBatch) {
   const std::vector<Topology> topologies = MakeTopologies(/*seed=*/7);
   for (std::size_t t = 0; t < topologies.size(); ++t) {
     const Topology& topology = topologies[t];
@@ -140,7 +133,7 @@ TEST_P(IncrementalEquivalence, RandomizedEventStreamsMatchOracleAfterEveryBatch)
   }
 }
 
-TEST_P(IncrementalEquivalence, CapacityChangesForceEquivalentFullRecompute) {
+TEST(IncrementalEquivalence, CapacityChangesForceEquivalentFullRecompute) {
   gen::BinaryTreeConfig cfg;
   cfg.clients = 64;
   cfg.min_requests = 1;
@@ -164,7 +157,7 @@ TEST_P(IncrementalEquivalence, CapacityChangesForceEquivalentFullRecompute) {
   ExpectMatchesOracle(solver, "after capacity restore");
 }
 
-TEST_P(IncrementalEquivalence, InfeasibleAndBackToFeasibleTransitions) {
+TEST(IncrementalEquivalence, InfeasibleAndBackToFeasibleTransitions) {
   // A chain of depth 3 can absorb at most 4*W requests (client + three
   // ancestors); push the single client far past that, then back.
   const Instance instance(gen::MakeChain(/*depth=*/3, /*requests=*/5), /*capacity=*/10);
@@ -207,7 +200,7 @@ std::size_t CountTopologyEvents(const UpdateTrace& trace) {
   return count;
 }
 
-TEST_P(IncrementalEquivalence, MixedTopologyStreamsMatchOracleAfterEveryBatch) {
+TEST(IncrementalEquivalence, MixedTopologyStreamsMatchOracleAfterEveryBatch) {
   const std::vector<Topology> topologies = MakeTopologies(/*seed=*/19);
   for (std::size_t t = 0; t < topologies.size(); ++t) {
     const Topology& topology = topologies[t];
@@ -248,7 +241,7 @@ TEST_P(IncrementalEquivalence, MixedTopologyStreamsMatchOracleAfterEveryBatch) {
   }
 }
 
-TEST_P(IncrementalEquivalence, SinglePolicyMixedTopologyMatchesOracle) {
+TEST(IncrementalEquivalence, SinglePolicyMixedTopologyMatchesOracle) {
   const std::vector<Topology> topologies = MakeTopologies(/*seed=*/23);
   for (std::size_t t = 0; t < topologies.size(); ++t) {
     const Topology& topology = topologies[t];
@@ -275,11 +268,6 @@ TEST_P(IncrementalEquivalence, SinglePolicyMixedTopologyMatchesOracle) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(SolverPoolWidths, IncrementalEquivalence, ::testing::Values(1, 4),
-                         [](const auto& info) {
-                           return "threads" + std::to_string(info.param);
-                         });
 
 // Every observable facet of a solver's state, for byte-identity checks
 // after rejected batches (the solution hash alone would not catch a

@@ -6,12 +6,13 @@
 
 #include <map>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "gen/paper_instances.hpp"
 #include "gen/random_tree.hpp"
 #include "npc/reductions.hpp"
-#include "support/thread_pool.hpp"
 #include "tree/serialize.hpp"
 
 namespace rpt {
@@ -97,8 +98,9 @@ TEST(Integration, PaperArtifactsEndToEnd) {
 }
 
 TEST(Integration, ParallelSolvesAreRaceFree) {
-  // Shared-nothing parallel sweep over seeds: results must equal the serial
-  // run (catches accidental shared state inside solvers).
+  // Solves on concurrent threads, as BatchRunner's workers run them: results
+  // must equal the serial run (catches accidental shared state inside
+  // solvers).
   constexpr std::size_t kRuns = 32;
   std::vector<std::size_t> serial(kRuns);
   std::vector<std::size_t> parallel_counts(kRuns);
@@ -112,13 +114,18 @@ TEST(Integration, ParallelSolvesAreRaceFree) {
   for (std::size_t i = 0; i < kRuns; ++i) {
     serial[i] = core::Run(core::Algorithm::kMultipleBin, make_instance(i)).solution.ReplicaCount();
   }
-  ThreadPool pool(4);
-  ParallelForChunked(&pool, kRuns, /*grain=*/1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      parallel_counts[i] =
-          core::Run(core::Algorithm::kMultipleBin, make_instance(i)).solution.ReplicaCount();
+  constexpr std::size_t kThreads = 4;
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < kRuns; i += kThreads) {
+          parallel_counts[i] =
+              core::Run(core::Algorithm::kMultipleBin, make_instance(i)).solution.ReplicaCount();
+        }
+      });
     }
-  });
+  }  // jthreads join here
   EXPECT_EQ(serial, parallel_counts);
 }
 

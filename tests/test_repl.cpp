@@ -555,6 +555,15 @@ TEST(FollowerCore, CommitPendingPublishesTheStagedBatch) {
   EXPECT_EQ(core.OnVerify(1, 1, HashOf(oracle), false), FollowerCore::Outcome::kDuplicate);
 }
 
+TEST(FollowerCore, RefusesANonDurableHarness) {
+  // Without a WAL the harness seq stays 0, so VerifiedSeq() would wrap to
+  // 2^64-1 after the first RECORD and every VERIFY would read as a
+  // duplicate: nothing published, and an ACK that lifts the primary's
+  // watermark to UINT64_MAX.
+  ServeHarness harness(MakeInstance(49));
+  EXPECT_THROW(FollowerCore core(harness), InvalidArgument);
+}
+
 // --- live link ------------------------------------------------------------
 
 struct ReplPair {
@@ -607,6 +616,20 @@ TEST(ReplLink, ShipsATraceAndConverges) {
     return pair.primary->Watermark() >= trace.size();
   }));
   EXPECT_EQ(pair.follower->Core().Applied(), trace.size());
+}
+
+TEST(ReplLink, PrimaryRefusesANonDurableHarness) {
+  // A primary that logs nothing would publish locally and then fail to
+  // ship: a batch that looks failed but is applied.
+  ServeHarness harness(MakeInstance(26));
+  EXPECT_THROW(ReplPrimary primary(harness), InvalidArgument);
+  EXPECT_EQ(harness.Publishes(), 1u);
+}
+
+TEST(ReplLink, FollowerRefusesANonDurableHarness) {
+  ServeHarness harness(MakeInstance(27));
+  EXPECT_THROW(ReplFollower follower(harness, /*primary_port=*/1), InvalidArgument);
+  EXPECT_FALSE(harness.IsFollower());
 }
 
 TEST(ReplLink, FollowerBitOnQueriesUntilPromotion) {

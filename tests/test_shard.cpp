@@ -1,8 +1,8 @@
 // Tests for the sharded forest solve (src/shard/): planner invariants,
 // subtree slicing, the rpt-btab v1 wire format, and — the load-bearing
 // suite — the ORACLE MATRIX: sharded solves across topology shapes × shard
-// counts × solver-pool widths must be byte-identical (cost AND canonical
-// solution hash) to the single-process SolveMultipleNodDp. The btab
+// counts must be byte-identical (cost AND canonical solution hash) to the
+// single-process SolveMultipleNodDp. The btab
 // corruption corpus follows test_event_wal.cpp's rule: a damaged artifact
 // must load loudly-failing, never silently wrong — and since a btab is a
 // complete artifact (not a log), even a torn tail is a loud failure.
@@ -22,7 +22,6 @@
 #include "shard/worker.hpp"
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
-#include "support/thread_pool.hpp"
 #include "support/wire.hpp"
 
 namespace rpt::shard {
@@ -368,15 +367,10 @@ TEST(ShardOracle, MatrixMatchesUnshardedByteForByte) {
   for (const Case& test_case : cases) {
     const Instance instance(test_case.tree, test_case.capacity);
     for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(std::string(test_case.name) + " k=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        SetSolverThreads(threads);
-        ExpectOracleEqual(instance, shards);
-      }
+      SCOPED_TRACE(std::string(test_case.name) + " k=" + std::to_string(shards));
+      ExpectOracleEqual(instance, shards);
     }
   }
-  SetSolverThreads(1);
 }
 
 TEST(ShardOracle, StarFallsBackToTheLocalSolve) {

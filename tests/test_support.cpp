@@ -1,9 +1,8 @@
-// Unit tests for the support module: RNG, tables, stats, thread pool, CLI,
+// Unit tests for the support module: RNG, tables, stats, CLI,
 // the byte codec and record frame in wire.hpp, and the arithmetic helpers in
 // common.hpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,7 +12,6 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "support/wire.hpp"
 
 namespace rpt {
@@ -227,116 +225,6 @@ TEST(Stats, FitLineRejectsDegenerateInput) {
   EXPECT_THROW((void)FitLine({1.0}, {2.0}), InvalidArgument);
   EXPECT_THROW((void)FitLine({1.0, 1.0}, {2.0, 3.0}), InvalidArgument);
   EXPECT_THROW((void)FitLine({1.0, 2.0}, {2.0}), InvalidArgument);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The pool stays usable after an exception.
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunkedCoversRangeNotDivisibleByGrain) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(103);
-  ParallelForChunked(&pool, hits.size(), /*grain=*/10,
-                     [&hits](std::size_t begin, std::size_t end) {
-                       EXPECT_LT(begin, end);
-                       for (std::size_t i = begin; i < end; ++i) {
-                         hits[i].fetch_add(1, std::memory_order_relaxed);
-                       }
-                     });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunkedZeroCountNeverCallsBody) {
-  ThreadPool pool(2);
-  ParallelForChunked(&pool, 0, /*grain=*/4,
-                     [](std::size_t, std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPool, ParallelForChunkedCountBelowGrainRunsOneInlineChunk) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  const auto caller = std::this_thread::get_id();
-  ParallelForChunked(&pool, 5, /*grain=*/16,
-                     [&](std::size_t begin, std::size_t end) {
-                       ++calls;
-                       EXPECT_EQ(begin, 0u);
-                       EXPECT_EQ(end, 5u);
-                       EXPECT_EQ(std::this_thread::get_id(), caller);  // ran inline
-                     });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunkedNullPoolRunsSerial) {
-  std::atomic<int> calls{0};
-  std::vector<int> hits(100, 0);
-  ParallelForChunked(nullptr, hits.size(), /*grain=*/8,
-                     [&](std::size_t begin, std::size_t end) {
-                       ++calls;
-                       for (std::size_t i = begin; i < end; ++i) hits[i] += 1;
-                     });
-  EXPECT_EQ(calls.load(), 1);  // one chunk covering everything
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, ParallelForChunkedRejectsZeroGrain) {
-  ThreadPool pool(2);
-  EXPECT_THROW(ParallelForChunked(&pool, 10, /*grain=*/0, [](std::size_t, std::size_t) {}),
-               InvalidArgument);
-}
-
-TEST(ThreadPool, ParallelForChunkedPropagatesExceptionExactlyOnce) {
-  ThreadPool pool(4);
-  // Every chunk throws, but the caller must see exactly one exception, and
-  // only after all chunks finished (no dangling captures).
-  std::atomic<int> chunks{0};
-  int caught = 0;
-  try {
-    ParallelForChunked(&pool, 1000, /*grain=*/1, [&chunks](std::size_t, std::size_t) {
-      chunks.fetch_add(1, std::memory_order_relaxed);
-      throw std::runtime_error("chunk failed");
-    });
-  } catch (const std::runtime_error&) {
-    ++caught;
-  }
-  EXPECT_EQ(caught, 1);
-  EXPECT_GE(chunks.load(), 2);  // the range really was split
-  // The pool stays usable: its own error channel never saw the exception.
-  std::atomic<int> counter{0};
-  ParallelForChunked(&pool, 10, 1,
-                     [&counter](std::size_t begin, std::size_t end) {
-                       counter.fetch_add(static_cast<int>(end - begin),
-                                         std::memory_order_relaxed);
-                     });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, SolverPoolFollowsConfiguredWidth) {
-  SetSolverThreads(3);
-  ThreadPool* pool = SolverPool();
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->ThreadCount(), 3u);
-  EXPECT_EQ(SolverThreads(), 3u);
-  SetSolverThreads(1);  // serial: no pool at all
-  EXPECT_EQ(SolverPool(), nullptr);
-  EXPECT_EQ(SolverThreads(), 1u);
 }
 
 TEST(Wire, WriterAndReaderRoundTripLittleEndian) {
